@@ -2,7 +2,7 @@
 
 PR 5 flattened the SAT solver's hot path (clause arena + lazy watcher
 maintenance), added SatELite preprocessing for the standalone DIMACS
-path, and hash-conses bit-blasted gates.  This benchmark measures the
+path, and constant-folds bit-blasted gates.  This benchmark measures the
 end-to-end effect on the compile pipeline against the **checked-in**
 ``BENCH_pr4.json`` baseline: each case's reuse-on wall clock is compared
 to the same case's recorded PR-4 reuse-on wall, and ``--check`` requires
@@ -181,7 +181,6 @@ def _run_case(label: str, kl: int, extra: int, tslice: float,
         "cegis_iterations": stats.cegis_iterations,
         "sat_conflicts": stats.sat_conflicts,
         "sat_clauses_added": stats.sat_clauses_added,
-        "sat_gate_cache_hits": stats.sat_gate_cache_hits,
         "pool_tests_reused": stats.pool_tests_reused,
         "warm_resumes": stats.warm_resumes,
         "budget_retries": stats.budget_retries,
@@ -208,7 +207,6 @@ def _ablation_compile(seed: int) -> Dict[str, Any]:
     return {
         "status": result.status,
         "sat_clauses_added": result.stats.sat_clauses_added,
-        "sat_gate_cache_hits": result.stats.sat_gate_cache_hits,
         "entries": result.num_entries if result.program else None,
     }
 
@@ -311,44 +309,17 @@ def _run_pr4_same_machine_ab(
 def _run_fold_ab(seed: int) -> Dict[str, Any]:
     """Constant-folding A/B on one case: clause counts with gate folding
     on vs off, same compile otherwise.  Toggles the module flag so every
-    solver the compile builds inherits the setting.  The gate cache is
-    disabled for BOTH arms: it deduplicates exactly the constant-heavy
-    repeated structure that folding collapses, so with the cache on the
-    fold-off arm recovers nearly all of folding's savings and the A/B
-    would measure the cache, not folding."""
+    solver the compile builds inherits the setting."""
     label, _ = FOLD_CASE
     out: Dict[str, Any] = {"case": label, "opt4_constant_synthesis": False}
-    saved_fold, saved_cache = bitblast.FOLD_CONSTANTS, bitblast.GATE_CACHE
+    saved_fold = bitblast.FOLD_CONSTANTS
     try:
-        bitblast.GATE_CACHE = False
         for fold in (True, False):
             bitblast.FOLD_CONSTANTS = fold
             out["fold_on" if fold else "fold_off"] = _ablation_compile(seed)
     finally:
         bitblast.FOLD_CONSTANTS = saved_fold
-        bitblast.GATE_CACHE = saved_cache
     _ab_summary(out, "fold_on", "fold_off")
-    return out
-
-
-def _run_gate_cache_ab(seed: int) -> Dict[str, Any]:
-    """Gate-cache A/B on the same case, with folding OFF in both arms so
-    the cache sees the repeated constant-substituted structure the
-    default compile path never leaves behind.  Measures the hash-consing
-    layer's own clause reduction and checks it changes no answer."""
-    label, _ = FOLD_CASE
-    out: Dict[str, Any] = {"case": label, "fold_constants": False}
-    saved_fold, saved_cache = bitblast.FOLD_CONSTANTS, bitblast.GATE_CACHE
-    try:
-        bitblast.FOLD_CONSTANTS = False
-        for cache in (True, False):
-            bitblast.GATE_CACHE = cache
-            out["cache_on" if cache else "cache_off"] = _ablation_compile(seed)
-    finally:
-        bitblast.FOLD_CONSTANTS = saved_fold
-        bitblast.GATE_CACHE = saved_cache
-    _ab_summary(out, "cache_on", "cache_off")
-    out["cache_hits"] = out["cache_on"]["sat_gate_cache_hits"]
     return out
 
 
@@ -671,7 +642,6 @@ def run_bench(quick: bool = False, seed: int = 0,
     its_on = sum(c["reuse_on"]["cegis_iterations"] for c in cases)
     its_off = sum(c["reuse_off"]["cegis_iterations"] for c in cases)
     fold = _run_fold_ab(seed)
-    gate = _run_gate_cache_ab(seed)
     same_machine = (
         _run_pr4_same_machine_ab(pr4_tree, seed, reps)
         if pr4_tree is not None else None
@@ -686,7 +656,6 @@ def run_bench(quick: bool = False, seed: int = 0,
         "baseline": str(baseline_path.name) if baseline else None,
         "cases": cases,
         "fold_constants_ab": fold,
-        "gate_cache_ab": gate,
         "pr4_same_machine": same_machine,
         "certify_ab": certify,
         "summary": {
@@ -706,13 +675,7 @@ def run_bench(quick: bool = False, seed: int = 0,
             "pr4_resources_identical": all(
                 c.get("pr4_resources_identical", False) for c in with_base
             ) if with_base else None,
-            "gate_cache_hits_total": sum(
-                c["reuse_on"]["sat_gate_cache_hits"] for c in cases
-            ),
             "clause_reduction_fold": round(fold["clause_reduction"], 4),
-            "clause_reduction_gate_cache": round(
-                gate["clause_reduction"], 4
-            ),
             "geomean_vs_pr4_same_machine": (
                 same_machine["geomean_median"]
                 if same_machine is not None else None
@@ -769,11 +732,6 @@ def check_report(report: Dict[str, Any]) -> List[str]:
         failures.append("constant folding did not reduce emitted clauses")
     if not (fold["same_status"] and fold["same_entries"]):
         failures.append("constant folding changed a compile answer")
-    gate = report["gate_cache_ab"]
-    if gate["clause_reduction"] <= 0:
-        failures.append("gate cache did not reduce emitted clauses")
-    if not (gate["same_status"] and gate["same_entries"]):
-        failures.append("gate cache changed a compile answer")
     certify = report.get("certify_ab")
     if certify is not None:
         if certify["geomean_overhead"] > CERTIFY_OVERHEAD_LIMIT:
@@ -861,9 +819,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"resources_identical={s['resources_identical']}  "
         f"pr4_resources_identical={s['pr4_resources_identical']}  "
         f"fold clause reduction "
-        f"{100 * s['clause_reduction_fold']:.1f}%  "
-        f"gate-cache clause reduction "
-        f"{100 * s['clause_reduction_gate_cache']:.1f}%"
+        f"{100 * s['clause_reduction_fold']:.1f}%"
     )
     if report["pr4_same_machine"] is not None:
         sm = report["pr4_same_machine"]

@@ -5,19 +5,12 @@ loop-free arms (§6.7.1) and per-hardware-constraint-level arms (§6.7.2,
 e.g. one subproblem per transition-key width limit), halting as soon as
 any subproblem yields a valid outcome.
 
-``portfolio_compile`` reproduces that two ways, selected by
-``options.schedule``:
-
-* ``"steal"`` (default) — the work-stealing shard scheduler
-  (:mod:`repro.core.stealing`): arms decompose into migratable
-  (arm, budget slice) work units raced by long-lived workers, sharing
-  counterexamples over the :class:`~repro.core.testpool.CexBus`;
-* ``"static"`` — a ``ProcessPoolExecutor`` where each worker runs a full
-  sequential compile of one subproblem (the A/B baseline and fallback).
-
-The first valid success wins either way.  With
-``options.parallel_workers <= 1`` the portfolio degenerates to the
-deterministic sequential iteration the rest of the repo uses by default.
+``portfolio_compile`` reproduces that with one strategy: with
+``options.parallel_workers > 1`` a ``ProcessPoolExecutor`` runs each
+subproblem as a full sequential compile in its own worker, and the first
+valid success wins.  With ``options.parallel_workers <= 1`` the
+portfolio degenerates to the deterministic sequential iteration the rest
+of the repo uses by default.
 
 Resilience (see :mod:`repro.resilience`): the portfolio is the scaling
 path, so it must degrade instead of dying.
@@ -45,8 +38,6 @@ grafts the spans under its own trace and merges the counters.
 from __future__ import annotations
 
 import concurrent.futures
-import shutil
-import tempfile
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -66,8 +57,6 @@ from ..resilience import CompileFault, PoolBroken
 from ..resilience import injection as _injection
 from ..resilience.injection import fault_point
 from .options import CompileOptions
-from .stealing import run_stealing
-from .testpool import TestChannel, start_bus
 from .result import (
     STATUS_FAULT,
     STATUS_INFEASIBLE,
@@ -149,7 +138,6 @@ def _run_subproblem(
     subproblem: Subproblem,
     trace: bool = False,
     faults: Optional[list] = None,
-    channel: Optional[TestChannel] = None,
 ) -> ArmOutcome:
     # Imported here so worker processes resolve it after fork/spawn.
     from .compiler import ParserHawkCompiler
@@ -162,7 +150,7 @@ def _run_subproblem(
     compiler = ParserHawkCompiler(subproblem.options)
     if not trace:
         return subproblem.priority, compiler.compile(
-            spec, subproblem.device, test_channel=channel
+            spec, subproblem.device
         ), None, None
     # Worker-side tracer: serialized back for the parent to merge.
     tracer = Tracer()
@@ -172,9 +160,7 @@ def _run_subproblem(
             label=subproblem.label,
             priority=subproblem.priority,
         ) as arm_span:
-            result = compiler.compile(
-                spec, subproblem.device, test_channel=channel
-            )
+            result = compiler.compile(spec, subproblem.device)
     return (
         subproblem.priority,
         result,
@@ -298,7 +284,6 @@ def _run_arms_inline(
     deadline: Optional[float],
     results: List[Tuple[int, CompileResult]],
     on_result=None,
-    channel: Optional[TestChannel] = None,
 ) -> List[str]:
     """Run arms in-process, best priority first, under supervision.
 
@@ -319,8 +304,7 @@ def _run_arms_inline(
         ) as arm_span:
             try:
                 _priority, result, _spans, _counters = _run_subproblem(
-                    spec, bounded, False, None,
-                    channel,
+                    spec, bounded
                 )
             except Exception as exc:
                 result = _arm_failure(sub, exc, device)
@@ -343,7 +327,6 @@ def _run_pooled(
     workers: int,
     results: List[Tuple[int, CompileResult]],
     on_result=None,
-    channel: Optional[TestChannel] = None,
 ) -> List[str]:
     """Race arms across a process pool; returns still-pending labels.
 
@@ -362,7 +345,7 @@ def _run_pooled(
         ):
             return _run_arms_inline(
                 spec, subproblems, device, tracer, deadline, results,
-                on_result, channel,
+                on_result,
             )
 
     faults = _injection.snapshot() or None
@@ -387,7 +370,6 @@ def _run_pooled(
                     bounded,
                     tracer.enabled,
                     faults,
-                    channel,
                 )] = sub
         except (BrokenProcessPool,) + _POOL_UNAVAILABLE_ERRORS as exc:
             broken = exc
@@ -500,11 +482,20 @@ def _run_pooled(
             ):
                 return _run_arms_inline(
                     spec, remaining, device, tracer, deadline, results,
-                    on_result, channel,
+                    on_result,
                 )
         return expired_labels
     finally:
+        # A running future cannot be cancelled, and the executor keeps
+        # the interpreter alive until every worker exits: halt the
+        # losing arms outright, as §6.7 stops the whole portfolio at the
+        # first valid outcome.
+        workers_alive = list(
+            (getattr(pool, "_processes", None) or {}).values()
+        )
         pool.shutdown(wait=False, cancel_futures=True)
+        for proc in workers_alive:
+            proc.terminate()
 
 
 def portfolio_compile(
@@ -534,7 +525,6 @@ def portfolio_compile(
     options = options or CompileOptions()
     subproblems = derive_subproblems(spec, device, options)
     workers = max(1, options.parallel_workers)
-    use_steal = workers > 1 and options.schedule != "static"
     tracer = get_tracer()
     deadline = (
         time.monotonic() + options.total_max_seconds
@@ -568,36 +558,6 @@ def portfolio_compile(
             for sub in subproblems
         ]
 
-    # The steal scheduler migrates arms between workers through the
-    # checkpoint format; without a user-provided checkpoint root, give
-    # each arm a scratch one so migration still resumes instead of
-    # restarting cold.  (A small flush interval amortizes the per-record
-    # writes on the hot path.)
-    scratch_root: Optional[str] = None
-    if use_steal and not options.checkpoint_dir:
-        try:
-            scratch_root = tempfile.mkdtemp(prefix="repro-steal-")
-        except OSError:
-            scratch_root = None
-        if scratch_root is not None:
-            subproblems = [
-                Subproblem(
-                    sub.label,
-                    sub.device,
-                    sub.options.with_(
-                        checkpoint_dir=str(arm_checkpoint_dir(
-                            scratch_root, sub.label
-                        )),
-                        checkpoint_interval_seconds=max(
-                            0.25,
-                            sub.options.checkpoint_interval_seconds,
-                        ),
-                    ),
-                    sub.priority,
-                )
-                for sub in subproblems
-            ]
-
     label_of = {sub.priority: sub.label for sub in subproblems}
     results: List[Tuple[int, CompileResult]] = []
     to_run = subproblems
@@ -627,60 +587,16 @@ def portfolio_compile(
                 result.message,
             )
 
-    # Cross-arm test exchange (see repro.core.testpool): arms sharing a
-    # spec layout adopt each other's counterexamples between budget
-    # attempts, over a CexBus.  Inline arms share an in-process bus;
-    # worker processes hold a manager proxy for it (one round-trip per
-    # publish/fetch, deduped and sliced per topic server-side).
-    # Best-effort throughout — environments that cannot start a manager
-    # just race without sharing.
-    channel: Optional[TestChannel] = None
-    mp_manager = None
-    if options.test_reuse and len(to_run) > 1:
+    with tracer.span("portfolio", arms=len(subproblems), workers=workers):
         if workers == 1:
-            channel = TestChannel()
+            pending = _run_arms_inline(
+                spec, to_run, device, tracer, deadline, results, record_arm,
+            )
         else:
-            try:
-                mp_manager, bus = start_bus()
-                channel = TestChannel(bus)
-            except Exception:
-                tracer.count("portfolio.channel_unavailable")
-                mp_manager = None
-                channel = None
-
-    pending: List[str] = []
-    try:
-        with tracer.span(
-            "portfolio",
-            arms=len(subproblems),
-            workers=workers,
-            schedule="steal" if use_steal else (
-                "static" if workers > 1 else "sequential"
-            ),
-        ):
-            if workers == 1:
-                pending = _run_arms_inline(
-                    spec, to_run, device, tracer, deadline, results,
-                    record_arm, channel,
-                )
-            elif use_steal:
-                pending = run_stealing(
-                    spec, to_run, device, tracer, deadline, workers,
-                    results, record_arm, channel, manager,
-                )
-            else:
-                pending = _run_pooled(
-                    spec, to_run, device, tracer, deadline, workers,
-                    results, record_arm, channel,
-                )
-    finally:
-        if mp_manager is not None:
-            try:
-                mp_manager.shutdown()
-            except Exception:
-                pass
-        if scratch_root is not None:
-            shutil.rmtree(scratch_root, ignore_errors=True)
+            pending = _run_pooled(
+                spec, to_run, device, tracer, deadline, workers, results,
+                record_arm,
+            )
 
     result = select_result(subproblems, results, device, pending=pending)
     if manager is not None:

@@ -34,7 +34,7 @@ class CompileStats:
     # solver round without the decode/verify half of a live iteration).
     cegis_replayed: int = 0
     # Tests replayed from the shared TestPool as up-front constraints
-    # (cross-budget / cross-arm reuse); each one is a CEGIS round-trip
+    # (cross-budget reuse); each one is a CEGIS round-trip
     # (solve + equivalence verification) that never had to happen.
     pool_tests_reused: int = 0
     sat_conflicts: int = 0
@@ -45,9 +45,6 @@ class CompileStats:
     # CNF clauses the bit-blaster emitted into solvers (constant folding
     # reduces this without changing any SAT/UNSAT answer).
     sat_clauses_added: int = 0
-    # Tseitin gates served from the bit-blaster's structural CNF cache
-    # instead of being re-encoded (hash-consed bit-blasting).
-    sat_gate_cache_hits: int = 0
     budgets_tried: int = 0
     budget_retries: int = 0
     # Retries served by a parked warm CegisSession (solver state, encoded

@@ -83,11 +83,10 @@ def format_table(
 def format_sat_phases(trace: Any) -> str:
     """One-line SAT-engine phase summary from a trace's counters.
 
-    The solver accounts its own propagate/analyze/simplify wall time and
-    the bit-blaster its structural-cache hits (recorded per ``check`` by
-    the SMT facade); summing them across all spans gives the solver-level
-    profile without any external tooling.  Returns "" when the trace
-    recorded no SAT activity."""
+    The solver accounts its own propagate/analyze/simplify wall time
+    (recorded per ``check`` by the SMT facade); summing it across all
+    spans gives the solver-level profile without any external tooling.
+    Returns "" when the trace recorded no SAT activity."""
     totals: dict = {}
     for row in aggregate(trace).values():
         for key, value in row["counters"].items():
@@ -95,16 +94,14 @@ def format_sat_phases(trace: Any) -> str:
                 totals[key] = totals.get(key, 0) + value
     if not totals:
         return ""
-    parts = [
+    return "SAT phases: " + " | ".join(
         f"{label} {totals.get(key, 0.0):.3f}s"
         for label, key in (
             ("propagate", "sat.propagate_seconds"),
             ("analyze", "sat.analyze_seconds"),
             ("simplify", "sat.simplify_seconds"),
         )
-    ]
-    parts.append(f"gate-cache hits {int(totals.get('sat.gate_cache_hits', 0))}")
-    return "SAT phases: " + " | ".join(parts)
+    )
 
 
 def format_eqsat_summary(trace: Any) -> str:

@@ -18,7 +18,7 @@ restart cheaply:
   insertion order, plus each budget's ``pool_base`` — the pool size when
   that budget's run started.  A budget's solver state is a function of
   the pool prefix it seeded, so faithful replay needs the exact prefix
-  reconstructed, including entries that arrived from sibling arms;
+  reconstructed;
 * the **portfolio manifest**: finished arms and their statuses, so a
   resumed portfolio skips arms that already exhausted their search.
 
@@ -274,26 +274,6 @@ class CheckpointManager:
         if not arm:
             return None
         return arm["slice_seconds"]
-
-    # -- migratable work units (steal scheduler) ---------------------------
-    def record_unit(self, label: str, worker: int, slice_index: int) -> None:
-        """Append one dispatched (arm, budget slice) work unit.
-
-        The unit log makes a killed steal-scheduled portfolio auditable:
-        it records which worker held which arm at which slice, so a
-        resume (or a post-mortem) can tell warm continuations from
-        checkpoint-replay migrations.  Entries are ``[label, worker,
-        slice_index]`` in dispatch order."""
-        units = self.state.setdefault("units", [])
-        units.append([label, worker, slice_index])
-        self._dirty = True
-        self.flush()
-
-    def unit_history(self) -> List[Tuple[str, int, int]]:
-        return [
-            (label, worker, slice_index)
-            for label, worker, slice_index in self.state.get("units", [])
-        ]
 
     # -- portfolio manifest ------------------------------------------------
     def record_arm_result(

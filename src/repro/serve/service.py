@@ -296,7 +296,11 @@ class CompileService:
             job.lease_token = lease.token
             job.coalesced_into = None
             job.state = JOB_QUEUED
-            if self._serve_from_cache(job):
+            cached = self._cached_result_doc(job)
+            if cached is not None:
+                job.state = JOB_DONE
+                job.result_doc = cached
+                job.finished_epoch = time.time()
                 self.journal.transition(job)
                 self._jobs[job.job_id] = job
                 event = self._events.setdefault(
@@ -511,7 +515,11 @@ class CompileService:
                 )
             # Cache fast-path: an already-known answer is terminal at
             # admission and never consumes a compile slot.
-            if self._serve_from_cache(job):
+            cached = self._cached_result_doc(job)
+            if cached is not None:
+                job.state = JOB_DONE
+                job.result_doc = cached
+                job.finished_epoch = time.time()
                 try:
                     self.journal.record(job)   # accepted *and* terminal
                 except JournalWriteError as exc:
@@ -557,18 +565,13 @@ class CompileService:
                 self._wakeup.notify()
         return job
 
-    def _serve_from_cache(self, job: Job) -> bool:
-        """Terminal-ize ``job`` from the compile cache; True on a hit.
-        Called under the service lock."""
+    def _cached_result_doc(self, job: Job) -> Optional[Dict[str, Any]]:
+        """The compile cache's result doc for ``job``'s key, or None.
+        A pure lookup: callers decide how the job turns terminal."""
         if self.cache is None:
-            return False
+            return None
         result = self.cache.lookup(job.compile_key, job.build_device())
-        if result is None:
-            return False
-        job.state = JOB_DONE
-        job.result_doc = result_to_doc(result)
-        job.finished_epoch = time.time()
-        return True
+        return None if result is None else result_to_doc(result)
 
     # -- introspection -------------------------------------------------
     def status(self, job_id: str) -> Optional[Job]:
@@ -676,28 +679,29 @@ class CompileService:
                 return
             if result.status == STATUS_OK:
                 self._record_outcome(job, success=True)
-                job.result_doc = result_to_doc(result)
-                self._finish(job, JOB_DONE)
+                self._finish(
+                    job, JOB_DONE, result_doc=result_to_doc(result)
+                )
                 return
             if result.status == STATUS_INFEASIBLE:
                 # A clean verdict: the spec cannot fit the device.
                 self._record_outcome(job, success=True)
-                job.result_doc = result_to_doc(result)
                 self._finish(
                     job,
                     JOB_FAILED,
                     failure_kind="infeasible",
                     message=result.message,
+                    result_doc=result_to_doc(result),
                 )
                 return
             if result.status == STATUS_TIMEOUT:
                 self._record_outcome(job, success=False)
-                job.result_doc = result_to_doc(result)
                 self._finish(
                     job,
                     JOB_FAILED,
                     failure_kind="timeout",
                     message=result.message,
+                    result_doc=result_to_doc(result),
                 )
                 return
             # STATUS_FAULT: the compiler absorbed a transient failure
@@ -706,10 +710,9 @@ class CompileService:
             if self._retry(job, None):
                 continue
             self._record_outcome(job, success=False)
-            job.result_doc = result_to_doc(result)
             self._finish(
                 job, JOB_FAILED, failure_kind="fault",
-                message=result.message,
+                message=result.message, result_doc=result_to_doc(result),
             )
             return
 
@@ -741,8 +744,7 @@ class CompileService:
         self._count("serve.transient_failures")
         if job.attempts >= self.retry_policy.max_attempts:
             self._count("serve.retries_exhausted")
-            if self._degrade(job):
-                return False
+            self._degrade(job)
             return False
         remaining = job.remaining_seconds()
         delay = self.retry_policy.delay(job.attempts, key=job.job_id)
@@ -755,16 +757,17 @@ class CompileService:
         self._sleep(delay)
         return True
 
-    def _degrade(self, job: Job) -> bool:
+    def _degrade(self, job: Job) -> None:
         """Last-resort cache consult after exhausted retries (another
-        process may have completed the same key); True when served."""
+        process may have completed the same key): on a hit the job
+        finishes done, and the caller's own terminal write is a no-op."""
         with self._lock:
-            hit = self._serve_from_cache(job)
-        if hit:
-            job.degraded = True
-            self._count("serve.stale_served")
-            self._finish(job, JOB_DONE)
-        return hit
+            cached = self._cached_result_doc(job)
+        if cached is None:
+            return
+        job.degraded = True
+        self._count("serve.stale_served")
+        self._finish(job, JOB_DONE, result_doc=cached)
 
     def _record_outcome(self, job: Job, *, success: bool) -> None:
         key = (job.tenant, job.compile_key)
@@ -782,9 +785,14 @@ class CompileService:
         *,
         failure_kind: str = "",
         message: str = "",
+        result_doc: Optional[Dict[str, Any]] = None,
     ) -> None:
+        """The one place a queued or running job turns terminal: journal
+        it, release its lease and admission slot, wake its waiters."""
         if job.terminal:
             return
+        if result_doc is not None:
+            job.result_doc = result_doc
         job.state = state
         job.failure_kind = failure_kind
         if message:

@@ -21,13 +21,6 @@ from .terms import BOOL, Term
 # can A/B the emitted-clause counts with folding disabled.
 FOLD_CONSTANTS = True
 
-# Default for the structural gate cache (see BitBlaster).  Also
-# semantics-preserving, so it stays True; the flag lets benchmarks
-# isolate one mechanism at a time — with both enabled, the gate cache
-# absorbs most of the duplicate structure that folding would otherwise
-# be credited for, and the fold A/B would read as a no-op.
-GATE_CACHE = True
-
 
 class BitBlaster:
     """Incrementally encodes terms into a :class:`SatSolver` instance.
@@ -45,7 +38,6 @@ class BitBlaster:
         self,
         solver: SatSolver,
         fold_constants: bool | None = None,
-        gate_cache: bool | None = None,
     ) -> None:
         self.solver = solver
         self._bool_cache: Dict[Term, int] = {}
@@ -54,20 +46,6 @@ class BitBlaster:
         self._fold = (
             FOLD_CONSTANTS if fold_constants is None else fold_constants
         )
-        self._use_gate_cache = (
-            GATE_CACHE if gate_cache is None else gate_cache
-        )
-        # Structural CNF cache: gate outputs keyed by (op, canonical
-        # input-literal tuple).  The term caches above only hash-cons
-        # whole terms; across CEGIS iterations the *terms* differ (fresh
-        # test constants substituted into the shared candidate circuit)
-        # while huge swaths of the gate structure repeat literal-for-
-        # literal.  A Tseitin output is functionally determined by its
-        # inputs and its defining clauses are never retracted (push/pop
-        # is activation-literal based), so reusing the output literal is
-        # always sound and emits each distinct gate exactly once.
-        self._gate_cache: Dict[tuple, int] = {}
-        self.gate_cache_hits = 0
 
     # ------------------------------------------------------------------
     # Literal helpers
@@ -116,24 +94,15 @@ class BitBlaster:
                 seen.add(l)
                 folded.append(l)
             inputs = folded
-        else:
-            inputs = [l for l in inputs]
         if not inputs:
             return self.true_lit()
         if len(inputs) == 1:
             return inputs[0]
-        key = ("and", tuple(sorted(inputs)))
-        hit = self._gate_cache.get(key) if self._use_gate_cache else None
-        if hit is not None:
-            self.gate_cache_hits += 1
-            return hit
         out = self.fresh_lit()
         add = self.solver.add_clause
         for l in inputs:
             add([neg(out), l])
         add([out] + [neg(l) for l in inputs])
-        if self._use_gate_cache:
-            self._gate_cache[key] = out
         return out
 
     def _xor_gate(self, a: int, b: int) -> int:
@@ -150,19 +119,12 @@ class BitBlaster:
                 return self.false_lit()
             if a == (b ^ 1):
                 return self.true_lit()
-        key = ("xor", a, b) if a <= b else ("xor", b, a)
-        hit = self._gate_cache.get(key) if self._use_gate_cache else None
-        if hit is not None:
-            self.gate_cache_hits += 1
-            return hit
         out = self.fresh_lit()
         add = self.solver.add_clause
         add([neg(out), a, b])
         add([neg(out), neg(a), neg(b)])
         add([out, neg(a), b])
         add([out, a, neg(b)])
-        if self._use_gate_cache:
-            self._gate_cache[key] = out
         return out
 
     def _ite_gate(self, c: int, t: int, e: int) -> int:
@@ -184,20 +146,12 @@ class BitBlaster:
                 return self._or_gate_list([neg(c), t])
             if ce is False:
                 return self._and_gate([c, t])
-        # Canonical form: condition stored with positive polarity.
-        key = ("ite", c, t, e) if not c & 1 else ("ite", c ^ 1, e, t)
-        hit = self._gate_cache.get(key) if self._use_gate_cache else None
-        if hit is not None:
-            self.gate_cache_hits += 1
-            return hit
         out = self.fresh_lit()
         add = self.solver.add_clause
         add([neg(c), neg(t), out])
         add([neg(c), t, neg(out)])
         add([c, neg(e), out])
         add([c, e, neg(out)])
-        if self._use_gate_cache:
-            self._gate_cache[key] = out
         return out
 
     def _full_adder(self, a: int, b: int, cin: int) -> tuple[int, int]:
@@ -224,18 +178,11 @@ class BitBlaster:
             return self.false_lit()
         if len(inputs) == 1:
             return inputs[0]
-        key = ("or", tuple(sorted(inputs)))
-        hit = self._gate_cache.get(key) if self._use_gate_cache else None
-        if hit is not None:
-            self.gate_cache_hits += 1
-            return hit
         out = self.fresh_lit()
         add = self.solver.add_clause
         for l in inputs:
             add([neg(l), out])
         add([neg(out)] + inputs)
-        if self._use_gate_cache:
-            self._gate_cache[key] = out
         return out
 
     # ------------------------------------------------------------------

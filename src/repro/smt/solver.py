@@ -94,8 +94,6 @@ class Solver:
         self._scanned: set[Term] = set()
         self._model: Optional[Model] = None
         self._last_result = UNKNOWN
-        self._gate_hits_seen = 0  # for per-check gate-cache deltas
-        self._last_gate_hits_delta = 0
         self._simplify_seen = 0.0  # for per-check simplify-time deltas
         self._proof_logged_seen = 0  # for per-check proof-step deltas
 
@@ -148,12 +146,6 @@ class Solver:
                 f"SAT solver exhausted interpreter resources: "
                 f"{type(exc).__name__}", site="sat.solve",
             ) from exc
-        # Gate-cache hits accrue during add()/bit-blasting between checks;
-        # attribute each stretch to the check that consumes it so the
-        # per-call deltas in last_check_stats stay additive.
-        hits = self._blaster.gate_cache_hits
-        self._last_gate_hits_delta = hits - self._gate_hits_seen
-        self._gate_hits_seen = hits
         tracer = get_tracer()
         if tracer.enabled:
             delta = self._sat.last_solve_stats
@@ -163,9 +155,8 @@ class Solver:
             tracer.count("sat.propagations", delta.get("propagations", 0))
             tracer.count("sat.restarts", delta.get("restarts", 0))
             tracer.count("sat.learnt_clauses", delta.get("learned", 0))
-            # Per-phase solver time and CNF-cache effectiveness: the
-            # solver's own profile, readable from any span breakdown
-            # without external tooling.
+            # Per-phase solver time: the solver's own profile, readable
+            # from any span breakdown without external tooling.
             tracer.count(
                 "sat.propagate_seconds", delta.get("propagate_seconds", 0.0)
             )
@@ -175,7 +166,6 @@ class Solver:
             simp = self._sat.simplify_seconds
             tracer.count("sat.simplify_seconds", simp - self._simplify_seen)
             self._simplify_seen = simp
-            tracer.count("sat.gate_cache_hits", self._last_gate_hits_delta)
             if self._sat.proof is not None:
                 logged = self._sat.proof.clauses_logged
                 tracer.count(
@@ -202,9 +192,7 @@ class Solver:
 
     def last_check_stats(self) -> Dict[str, int]:
         """Per-call solver deltas for the most recent :meth:`check`."""
-        stats = dict(self._sat.last_solve_stats)
-        stats["gate_cache_hits"] = self._last_gate_hits_delta
-        return stats
+        return dict(self._sat.last_solve_stats)
 
     @property
     def proof(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.benchgen import TABLE3_ROWS
 from repro.core import (
     CompileOptions,
     STATUS_INFEASIBLE,
@@ -16,6 +17,7 @@ from repro.core import (
     portfolio_compile,
     select_result,
 )
+from repro.harness import table3
 from repro.hw import tofino_profile
 from repro.ir import parse_spec
 from repro.obs import Tracer, use_tracer
@@ -143,48 +145,44 @@ class TestPortfolioCompile:
         # … and their counters merged into the parent registry.
         assert tracer.registry.get("sat.solves") >= 1
 
-    def test_schedule_flag_routes_to_the_right_scheduler(
-        self, dispatch_spec, monkeypatch
-    ):
-        from repro.core import parallel as par
-
-        calls = []
-
-        def fake_steal(spec, subs, device, tracer, deadline, workers,
-                       results, on_result=None, channel=None, manager=None):
-            calls.append("steal")
-            results.append((subs[0].priority, _ok()))
-            return []
-
-        def fake_pooled(spec, subs, device, tracer, deadline, workers,
-                        results, on_result=None, channel=None):
-            calls.append("static")
-            results.append((subs[0].priority, _ok()))
-            return []
-
-        def fake_inline(spec, subs, device, tracer, deadline, results,
-                        on_result=None, channel=None):
-            calls.append("sequential")
-            results.append((subs[0].priority, _ok()))
-            return []
-
-        monkeypatch.setattr(par, "run_stealing", fake_steal)
-        monkeypatch.setattr(par, "_run_pooled", fake_pooled)
-        monkeypatch.setattr(par, "_run_arms_inline", fake_inline)
-        for options in (
-            CompileOptions(parallel_workers=2),                    # default
-            CompileOptions(parallel_workers=2, schedule="static"),
-            CompileOptions(parallel_workers=1),   # single stream wins over
-        ):
-            assert par.portfolio_compile(dispatch_spec, DEVICE, options).ok
-        assert calls == ["steal", "static", "sequential"]
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "device", [table3.TOFINO, table3.IPU], ids=["tofino", "ipu"]
+    )
+    def test_pool_matches_sequential_on_table3_rows(self, device):
+        # The worker count is placement only: the process pool must land
+        # on the sequential portfolio's answer for every row.
+        rows = [
+            b for b in TABLE3_ROWS
+            if b.base in ("parse_ethernet", "pure_extraction")
+            and not b.mutations
+        ]
+        assert rows
+        for bench in rows:
+            spec = bench.spec()
+            sequential = portfolio_compile(
+                spec, device, CompileOptions(parallel_workers=1)
+            )
+            assert sequential.ok, (bench.row_label, sequential.message)
+            pooled = portfolio_compile(
+                spec,
+                device,
+                CompileOptions(parallel_workers=2, total_max_seconds=300),
+            )
+            assert (
+                pooled.status, pooled.num_entries, pooled.num_stages
+            ) == (
+                sequential.status,
+                sequential.num_entries,
+                sequential.num_stages,
+            ), bench.row_label
 
     def test_sequential_path_falls_back_past_violating_winner(
         self, dispatch_spec, monkeypatch
     ):
         from repro.core import parallel as par
 
-        def fake_run(spec, sub, trace=False, faults=None, channel=None):
+        def fake_run(spec, sub, trace=False, faults=None):
             # The highest-priority arm "wins" with a program that violates
             # the real device; the next arm wins cleanly.
             violations = ["key too wide"] if sub.priority == 0 else []
@@ -254,7 +252,7 @@ class TestSelectResult:
         monkeypatch.setattr(
             par,
             "_run_subproblem",
-            lambda spec, sub, trace=False, faults=None, channel=None: (
+            lambda spec, sub, trace=False, faults=None: (
                 sub.priority, winner, None, None
             ),
         )

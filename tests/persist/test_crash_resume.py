@@ -336,3 +336,52 @@ class TestResumeWithPool:
         )
         assert resumed.stats.pool_tests_reused >= 1
         assert tracer.registry.get("tests.pool_hits") >= 1
+
+    def test_resume_from_older_checkpoint_format(self, tmp_path, full_device):
+        """Checkpoints written before the cross-arm test exchange was
+        removed carry a ``units`` dispatch log and pool entries whose
+        origin is ``"shared"``.  Such a file still loads, and the resumed
+        compile lands on the cold run's winner."""
+        from repro.ir import parse_spec
+        from repro.persist.atomic import write_atomic
+        from repro.persist.checkpoint import (
+            CHECKPOINT_KIND,
+            CHECKPOINT_VERSION,
+        )
+
+        spec = parse_spec(self.TWO_BUDGET)
+        cold = compile_spec(spec, full_device, BASE)
+        ckpt = str(tmp_path / "ckpt")
+        injection.inject("sat.solve", _fault_after_solves(4), times=None)
+        try:
+            crashed = compile_spec(
+                spec, full_device, BASE.with_(checkpoint_dir=ckpt)
+            )
+        finally:
+            injection.clear()
+        assert crashed.status == STATUS_FAULT
+        state = json.loads(open(crashed.checkpoint_path).read())["payload"]
+        (arm,) = state["arms"].values()
+        relabelled = 0
+        for entry in arm["pool"]:
+            if entry[2] != "seed":
+                entry[2] = "shared"
+                relabelled += 1
+        assert relabelled >= 1
+        state["units"] = [["key<=8", 0, 0], ["key<=8", 1, 1]]
+        write_atomic(
+            crashed.checkpoint_path, CHECKPOINT_KIND, CHECKPOINT_VERSION,
+            state,
+        )
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            resumed = compile_spec(
+                spec, full_device, BASE.with_(checkpoint_dir=ckpt, resume=True)
+            )
+        assert tracer.registry.get("checkpoint.resumed") == 1
+        assert resumed.ok
+        assert program_fingerprint(resumed.program) == (
+            program_fingerprint(cold.program)
+        )
+        assert resumed.stats.pool_tests_reused >= 1

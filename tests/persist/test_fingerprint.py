@@ -124,6 +124,19 @@ class TestOptionsFingerprint:
 
 
 class TestCompileKey:
+    def test_default_keys_unchanged(self):
+        """Golden keys for default options on both Table-3 profiles:
+        existing cache entries and checkpoints must keep resolving."""
+        from repro.harness.table3 import IPU, TOFINO
+
+        spec = parse_spec(DEMO)
+        assert compile_key(spec, TOFINO, CompileOptions()) == (
+            "5242131dad50aced694bd6fb7e10ba63a23c0de9f98a3f55b9c6c2d18284f548"
+        )
+        assert compile_key(spec, IPU, CompileOptions()) == (
+            "52e91df8899f0039b7abf83b233d09e7f3ec5dab093f652840518d41fe7971a7"
+        )
+
     def test_device_reaches_key(self):
         spec = parse_spec(DEMO)
         opts = CompileOptions()

@@ -7,6 +7,8 @@ injected deterministically — no real crashes, no statistical slop.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.compiler import compile_spec
@@ -185,11 +187,19 @@ class TestRetry:
         injection.inject("serve.worker", WorkerCrash, times=None)
         svc.start()
         try:
+            started = time.monotonic()
             done = svc.wait(job.job_id, timeout=WAIT)
+            waited = time.monotonic() - started
         finally:
             svc.shutdown()
+        # The served job is terminal everywhere, not just in memory: its
+        # event fired, the journal says done, and no slot or key leaked.
+        assert waited < WAIT / 4
         assert done.state == JOB_DONE
         assert done.degraded
+        assert svc.journal.load(job.job_id).state == "done"
+        assert svc.admission.primaries == 0
+        assert svc._inflight == {}
 
 
 class TestAdmission:
