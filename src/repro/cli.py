@@ -164,7 +164,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         resume=args.resume,
         checkpoint_interval_seconds=args.checkpoint_interval,
         cache_dir=args.cache_dir,
-        test_reuse=not args.no_test_reuse,
         certify=args.certify,
         eqsat=args.eqsat == "on",
     )
@@ -687,12 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
         "solver, an offline-checkable equivalence certificate next to "
         "the cache entry (with --cache-dir), and proof bundles for "
         "budgets proved UNSAT (with --checkpoint-dir)",
-    )
-    p_compile.add_argument(
-        "--no-test-reuse", action="store_true",
-        help="disable the incremental-synthesis test pool (counterexamples "
-        "and seed tests are re-discovered at every budget instead of "
-        "being replayed); mainly for A/B perf measurement",
     )
     p_compile.add_argument(
         "--eqsat", choices=["on", "off"], default="off",

@@ -1,7 +1,8 @@
 """The CEGIS loop (§5.2, Figure 13).
 
 ``synthesize_for_budget`` runs synthesis/verification rounds for one fixed
-resource budget (a skeleton).  The synthesis phase solves the accumulated
+resource budget (a skeleton); the budget ladder calls it once per
+budget.  The synthesis phase solves the accumulated
 test-case constraints with the CDCL solver; the verification phase runs the
 exact product-equivalence checker.  Counterexamples flow back as new test
 cases (edge ③ of Figure 13); an UNSAT synthesis result means no
@@ -27,7 +28,7 @@ from ..ir.simulator import (
 from ..ir.spec import ParserSpec
 from ..obs import get_tracer
 from ..resilience import CompileFault
-from ..smt import SAT, Solver, UNKNOWN, UNSAT
+from ..smt import Solver, UNKNOWN, UNSAT
 from .encoder import SymbolicProgram
 from .skeleton import Skeleton
 from .testpool import ORIGIN_SEED, TestPool
@@ -53,7 +54,7 @@ POOL_REPLAY_CHUNK = 1
 # iterations would — not to fully decide the instance.  Most repairs
 # converge in far fewer conflicts; when one doesn't, capping it and
 # moving on is cheaper than letting a single hard intermediate instance
-# burn the whole time slice.
+# burn the budget's whole time cap.
 POOL_WARMUP_MAX_CONFLICTS = 400
 
 
@@ -219,318 +220,6 @@ def _splice(
 
 
 
-class CegisSession:
-    """One skeleton's CEGIS run, resumable across time slices.
-
-    The budget search retries a budget whose slice expired with a larger
-    slice.  A cold retry re-runs the whole deterministic iteration
-    sequence from scratch — every solve, decode and verification of the
-    expired attempt is repeated before any new ground is covered.  A
-    session instead keeps the *live* run between attempts: the CDCL
-    solver (learnt clauses, saved phases, activity), the constraints
-    already encoded, the RNG position, the replay/pool cursors and the
-    iteration counter.  :meth:`run` executes one attempt under its own
-    time budget; when it raises :class:`SynthesisTimeout` the caller can
-    simply call :meth:`run` again later and the session continues where
-    it stopped, skipping all duplicated work.
-
-    ``max_iterations`` caps the *total* live iterations across the
-    session's lifetime — the same ceiling a cold re-run enforces per
-    attempt, so a warm continuation can never converge on an iteration a
-    cold schedule would not also have reached.
-
-    Construction wiring (``replay``, ``pool``, ``pool_base``,
-    ``on_counterexample``) is documented on :func:`synthesize_for_budget`,
-    which is the single-attempt convenience wrapper around this class.
-    """
-
-    def __init__(
-        self,
-        skeleton: Skeleton,
-        rng: random.Random,
-        max_iterations: int = 40,
-        max_conflicts_per_solve: Optional[int] = None,
-        verify_max_configs: int = 60000,
-        directed_tests: bool = True,
-        replay: Optional[Sequence[Bits]] = None,
-        on_counterexample: Optional[Callable[[Bits], None]] = None,
-        pool: Optional[TestPool] = None,
-        pool_base: Optional[int] = None,
-        certify: bool = False,
-    ) -> None:
-        self.skeleton = skeleton
-        self.spec = skeleton.spec
-        self.max_steps = max(skeleton.unroll_steps, 16)
-        self.rng = rng
-        self.max_iterations = max_iterations
-        self.max_conflicts_per_solve = max_conflicts_per_solve
-        self.verify_max_configs = verify_max_configs
-        self.directed_tests = directed_tests
-        self.on_counterexample = on_counterexample
-        self.pool = pool
-        self.pool_base = pool_base
-        self.certify = certify
-        self._sp = SymbolicProgram(skeleton)
-        # Certifying runs log a DRAT proof of every solver verdict; the
-        # search itself is identical (logging only observes).
-        self._solver = Solver(proof=certify)
-        # Ordered packet-level inputs whose expected behaviour was
-        # encoded as constraints — the witness tests of a certificate.
-        self._witnesses: List[Bits] = []
-        # The pool prefix is materialized now: the session must seed
-        # exactly the prefix that existed when the attempt started, even
-        # if the shared pool keeps growing while this budget is parked
-        # between slices.
-        self._pool_tests = (
-            list(pool.tests(self.max_steps, size=pool_base))
-            if pool is not None else []
-        )
-        self._replay = list(replay or ())
-        # Resume cursors: each phase records how far it got, so a slice
-        # that expires mid-phase continues from the same position.
-        self._structural_done = False
-        self._pool_pos = 0
-        self._since_solve = 0
-        self._seeds_done = False
-        self._replay_pos = 0
-        self._iterations = 0
-        self._encoded_inputs: set = set()
-
-    # ------------------------------------------------------------------
-    def _encode_test(self, bits: Bits, expected: ParseResult) -> None:
-        """Encode one test's expected behaviour as constraints, keeping
-        the ordered witness record in certifying mode."""
-        if self.certify:
-            self._witnesses.append(bits)
-        for constraint in self._sp.encode_test(bits, expected):
-            self._solver.add(constraint)
-
-    def _attach_unsat_proof(self, outcome: CegisOutcome) -> None:
-        """Hand the refutation to the caller on a proved-UNSAT outcome."""
-        if self.certify:
-            outcome.proof = self._solver.proof
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        max_seconds: Optional[float] = None,
-        deadline: Optional[float] = None,
-    ) -> CegisOutcome:
-        """One attempt.  Returns the outcome (``feasible=False`` for a
-        proved UNSAT); raises :class:`SynthesisTimeout` when the attempt's
-        budget expires, leaving the session resumable.  The returned
-        outcome carries only *this attempt's* measurements (time, solver
-        deltas, clauses), so callers can sum attempts without double
-        counting."""
-        spec = self.spec
-        sp = self._sp
-        solver = self._solver
-        max_steps = self.max_steps
-        outcome = CegisOutcome(program=None, feasible=True)
-        tracer = get_tracer()
-        started = time.monotonic()
-        clauses_at_entry = solver.sat_solver.num_clauses_added
-
-        def remaining() -> Optional[float]:
-            limits = []
-            if max_seconds is not None:
-                limits.append(max_seconds - (time.monotonic() - started))
-            if deadline is not None:
-                limits.append(deadline - time.monotonic())
-            if not limits:
-                return None
-            return min(limits)
-
-        def solve_once(warmup_conflicts: Optional[int] = None) -> str:
-            """One budgeted ``solver.check`` with stat accumulation
-            (shared by replayed and live iterations, so both stay
-            comparable in the trace and in ``CompileStats``).
-            ``warmup_conflicts`` further caps the conflict budget for
-            pool-replay warm-up solves."""
-            budget_s = remaining()
-            if budget_s is not None and budget_s <= 0:
-                raise SynthesisTimeout("CEGIS time budget exhausted", outcome)
-            max_conflicts = self.max_conflicts_per_solve
-            if warmup_conflicts is not None:
-                max_conflicts = (
-                    warmup_conflicts if max_conflicts is None
-                    else min(max_conflicts, warmup_conflicts)
-                )
-            with tracer.span("sat.solve") as solve_span:
-                try:
-                    status = solver.check(
-                        max_seconds=budget_s,
-                        max_conflicts=max_conflicts,
-                    )
-                except CompileFault as exc:
-                    # Attach the partial outcome so callers can fold this
-                    # attempt's measurements into their stats (mirrors
-                    # SynthesisTimeout / VerificationBudgetExceeded).
-                    if exc.outcome is None:
-                        exc.outcome = outcome
-                    raise
-                finally:
-                    outcome.synthesis_seconds += solve_span.elapsed()
-            # Per-solve deltas (not lifetime totals): matches what the
-            # tracing layer records, so CompileStats and the span tree
-            # agree.  Propagations notably differ — clause insertion also
-            # propagates, outside any solve() call.
-            delta = solver.last_check_stats()
-            outcome.sat_conflicts += delta["conflicts"]
-            outcome.sat_decisions += delta["decisions"]
-            outcome.sat_propagations += delta["propagations"]
-            outcome.sat_restarts += delta["restarts"]
-            outcome.sat_learnt_clauses += delta["learned"]
-            return status
-
-        # Everything below adds clauses; the finally block snapshots the
-        # solver's insertion count so every exit path (success, UNSAT,
-        # timeout, fault) reports how many CNF clauses this attempt cost.
-        try:
-            if not self._structural_done:
-                for constraint in sp.structural_constraints():
-                    solver.add(constraint)
-                self._structural_done = True
-
-            # Up-front test constraints: the shared pool's prefix first
-            # (each entry is a solve+verify round-trip this run skips),
-            # then this budget's own directed seeds — unless the pool
-            # prefix already carries seed tests, in which case
-            # regenerating them would only duplicate near-identical
-            # coverage at full encoding cost.
-            while self._pool_pos < len(self._pool_tests):
-                bits, expected, origin = self._pool_tests[self._pool_pos]
-                if bits in self._encoded_inputs:
-                    self._pool_pos += 1
-                    continue
-                if self._since_solve >= POOL_REPLAY_CHUNK:
-                    # Warm-up solve between chunks: learnt clauses and
-                    # saved phases from it make the next chunk's
-                    # constraints cheap to absorb.  UNSAT here soundly
-                    # retires the budget — pool tests are valid for the
-                    # spec, so no correct program at this budget exists.
-                    # A conflict-capped UNKNOWN just stops warming: the
-                    # learnt clauses are kept and the live loop's
-                    # uncapped solves settle the instance.
-                    with tracer.span("cegis.pool_warmup"):
-                        status = solve_once(
-                            warmup_conflicts=POOL_WARMUP_MAX_CONFLICTS
-                        )
-                    if status == UNSAT:
-                        outcome.feasible = False
-                        self._attach_unsat_proof(outcome)
-                        return outcome
-                    self._since_solve = 0
-                self._encoded_inputs.add(bits)
-                self._encode_test(bits, expected)
-                self._pool_pos += 1
-                self._since_solve += 1
-                outcome.pool_reused += 1
-                tracer.count("tests.pool_hits")
-                if origin != ORIGIN_SEED:
-                    tracer.count("cex.reused")
-
-            if not self._seeds_done:
-                self._seeds_done = True
-                pool = self.pool
-                if pool is None or not pool.has_seeds(self.pool_base):
-                    for bits, expected in initial_tests(
-                        spec, self.rng, max_steps=max_steps,
-                        directed=self.directed_tests,
-                    ):
-                        if pool is not None:
-                            pool.add(bits, ORIGIN_SEED)
-                        if bits in self._encoded_inputs:
-                            continue
-                        self._encoded_inputs.add(bits)
-                        self._encode_test(bits, expected)
-
-            # Checkpoint replay: re-apply previously discovered
-            # counterexamples, preceding each with the solve its original
-            # iteration made (keeping the CDCL state identical to the
-            # interrupted run's) but skipping the decode + verification
-            # work — that is where resume saves time.
-            while self._replay_pos < len(self._replay):
-                bits = self._replay[self._replay_pos]
-                expected = simulate_spec(spec, bits, max_steps)
-                if expected.outcome == OUTCOME_OVERRUN:
-                    self._replay_pos += 1
-                    continue
-                with tracer.span("cegis.replay", index=outcome.replayed + 1):
-                    status = solve_once()
-                if status == UNSAT:
-                    outcome.feasible = False
-                    self._attach_unsat_proof(outcome)
-                    return outcome
-                if status == UNKNOWN:
-                    raise SynthesisTimeout(
-                        "SAT solver budget exhausted", outcome
-                    )
-                self._encode_test(bits, expected)
-                self._replay_pos += 1
-                outcome.replayed += 1
-                tracer.count("cegis.replayed")
-
-            while self._iterations < self.max_iterations:
-                self._iterations += 1
-                outcome.iterations += 1
-                tracer.count("cegis.iterations")
-                with tracer.span("cegis.iteration", index=self._iterations):
-                    status = solve_once()
-                    if status == UNSAT:
-                        outcome.feasible = False
-                        self._attach_unsat_proof(outcome)
-                        return outcome
-                    if status == UNKNOWN:
-                        raise SynthesisTimeout(
-                            "SAT solver budget exhausted", outcome
-                        )
-                    candidate = sp.decode(solver.model())
-                    with tracer.span("verify") as verify_span:
-                        try:
-                            cex = verify_equivalent(
-                                spec,
-                                candidate,
-                                max_steps=max_steps,
-                                max_configs=self.verify_max_configs,
-                            )
-                        except VerificationBudgetExceeded as exc:
-                            exc.outcome = outcome
-                            raise
-                        finally:
-                            outcome.verification_seconds += (
-                                verify_span.elapsed()
-                            )
-                    if cex is None:
-                        outcome.program = candidate
-                        if self.certify:
-                            outcome.constraint_digest = (
-                                solver.proof.input_digest()
-                            )
-                            outcome.witnesses = list(self._witnesses)
-                        return outcome
-                    outcome.counterexamples.append(cex)
-                    tracer.count("cegis.counterexamples")
-                    if self.on_counterexample is not None:
-                        self.on_counterexample(cex.bits)
-                expected = simulate_spec(spec, cex.bits, max_steps)
-                if expected.outcome == OUTCOME_OVERRUN:
-                    raise RuntimeError(
-                        "specification overran its step bound on a "
-                        "counterexample; increase max_unroll_steps"
-                    )
-                self._encode_test(cex.bits, expected)
-            raise SynthesisTimeout(
-                f"CEGIS did not converge within {self.max_iterations} "
-                "iterations", outcome
-            )
-        finally:
-            outcome.clauses_added = (
-                solver.sat_solver.num_clauses_added - clauses_at_entry
-            )
-            tracer.count("sat.clauses_added", outcome.clauses_added)
-
-
 def synthesize_for_budget(
     skeleton: Skeleton,
     rng: random.Random,
@@ -546,11 +235,10 @@ def synthesize_for_budget(
     pool_base: Optional[int] = None,
     certify: bool = False,
 ) -> CegisOutcome:
-    """Run CEGIS for one skeleton as a single cold attempt.  ``feasible=
-    False`` reports a proved UNSAT (no program in this budget); a timeout
-    raises :class:`SynthesisTimeout`.  Callers that want to *continue*
-    an expired attempt instead of re-running it hold a
-    :class:`CegisSession` and call :meth:`CegisSession.run` per slice.
+    """Run CEGIS for one skeleton: the budget's one and only run.
+    ``feasible=False`` reports a proved UNSAT (no program in this
+    budget); running out of time, conflicts or iterations raises
+    :class:`SynthesisTimeout` carrying the partial outcome.
 
     ``replay`` seeds the run with counterexamples recorded by an earlier
     (interrupted) attempt at the *same* budget.  Replay is faithful: each
@@ -563,26 +251,212 @@ def synthesize_for_budget(
     with each *newly* discovered counterexample's input, which is how the
     checkpoint layer records them.
 
-    ``pool`` is the compile-wide :class:`TestPool`: its first
-    ``pool_base`` entries (all of it when None) are encoded as up-front
-    constraints — no solve, no verification — and any tests this run
-    generates or discovers are recorded back into it.  When the seeded
-    prefix already carries directed seed tests, this run reuses them
-    instead of regenerating its own (initial_tests depends on the spec,
-    not the budget).  ``pool_base`` exists for faithful crash-resume: a
-    resumed budget must see exactly the pool prefix the interrupted run
-    saw when it started, not entries recorded afterwards."""
-    session = CegisSession(
-        skeleton,
-        rng,
-        max_iterations=max_iterations,
-        max_conflicts_per_solve=max_conflicts_per_solve,
-        verify_max_configs=verify_max_configs,
-        directed_tests=directed_tests,
-        replay=replay,
-        on_counterexample=on_counterexample,
-        pool=pool,
-        pool_base=pool_base,
-        certify=certify,
-    )
-    return session.run(max_seconds=max_seconds, deadline=deadline)
+    ``pool`` is the compile-wide :class:`TestPool` (a private, empty one
+    when None): its first ``pool_base`` entries (all of it when None) are
+    encoded as up-front constraints — no solve, no verification — and
+    any tests this run generates or discovers are recorded back into it.
+    When the seeded prefix already carries directed seed tests, this run
+    reuses them instead of regenerating its own (initial_tests depends on
+    the spec, not the budget).  ``pool_base`` exists for faithful
+    crash-resume: a resumed budget must see exactly the pool prefix the
+    interrupted run saw when it started, not entries recorded
+    afterwards."""
+    spec = skeleton.spec
+    max_steps = max(skeleton.unroll_steps, 16)
+    if pool is None:
+        pool = TestPool(spec)
+    sp = SymbolicProgram(skeleton)
+    # Certifying runs log a DRAT proof of every solver verdict; the
+    # search itself is identical (logging only observes).
+    solver = Solver(proof=certify)
+    # Ordered packet-level inputs whose expected behaviour was encoded as
+    # constraints — the witness tests of a certificate.
+    witnesses: List[Bits] = []
+    encoded_inputs: set = set()
+    outcome = CegisOutcome(program=None, feasible=True)
+    tracer = get_tracer()
+    started = time.monotonic()
+
+    def encode_test(bits: Bits, expected: ParseResult) -> None:
+        if certify:
+            witnesses.append(bits)
+        for constraint in sp.encode_test(bits, expected):
+            solver.add(constraint)
+
+    def unsat() -> CegisOutcome:
+        outcome.feasible = False
+        if certify:
+            outcome.proof = solver.proof
+        return outcome
+
+    def remaining() -> Optional[float]:
+        limits = []
+        if max_seconds is not None:
+            limits.append(max_seconds - (time.monotonic() - started))
+        if deadline is not None:
+            limits.append(deadline - time.monotonic())
+        if not limits:
+            return None
+        return min(limits)
+
+    def solve_once(warmup_conflicts: Optional[int] = None) -> str:
+        """One budgeted ``solver.check`` with stat accumulation
+        (shared by replayed and live iterations, so both stay
+        comparable in the trace and in ``CompileStats``).
+        ``warmup_conflicts`` further caps the conflict budget for
+        pool-replay warm-up solves."""
+        budget_s = remaining()
+        if budget_s is not None and budget_s <= 0:
+            raise SynthesisTimeout("CEGIS time budget exhausted", outcome)
+        max_conflicts = max_conflicts_per_solve
+        if warmup_conflicts is not None:
+            max_conflicts = (
+                warmup_conflicts if max_conflicts is None
+                else min(max_conflicts, warmup_conflicts)
+            )
+        with tracer.span("sat.solve") as solve_span:
+            try:
+                status = solver.check(
+                    max_seconds=budget_s,
+                    max_conflicts=max_conflicts,
+                )
+            except CompileFault as exc:
+                # Attach the partial outcome so callers can fold this
+                # run's measurements into their stats (mirrors
+                # SynthesisTimeout / VerificationBudgetExceeded).
+                if exc.outcome is None:
+                    exc.outcome = outcome
+                raise
+            finally:
+                outcome.synthesis_seconds += solve_span.elapsed()
+        # Per-solve deltas (not lifetime totals): matches what the
+        # tracing layer records, so CompileStats and the span tree
+        # agree.  Propagations notably differ — clause insertion also
+        # propagates, outside any solve() call.
+        delta = solver.last_check_stats()
+        outcome.sat_conflicts += delta["conflicts"]
+        outcome.sat_decisions += delta["decisions"]
+        outcome.sat_propagations += delta["propagations"]
+        outcome.sat_restarts += delta["restarts"]
+        outcome.sat_learnt_clauses += delta["learned"]
+        return status
+
+    # Everything below adds clauses; the finally block snapshots the
+    # solver's insertion count so every exit path (success, UNSAT,
+    # timeout, fault) reports how many CNF clauses this run cost.
+    try:
+        for constraint in sp.structural_constraints():
+            solver.add(constraint)
+
+        # Up-front test constraints: the shared pool's prefix first (each
+        # entry is a solve+verify round-trip this run skips), then this
+        # budget's own directed seeds — unless the pool prefix already
+        # carries seed tests, in which case regenerating them would only
+        # duplicate near-identical coverage at full encoding cost.
+        since_solve = 0
+        for bits, expected, origin in pool.tests(max_steps, size=pool_base):
+            if bits in encoded_inputs:
+                continue
+            if since_solve >= POOL_REPLAY_CHUNK:
+                # Warm-up solve between chunks: learnt clauses and saved
+                # phases from it make the next chunk's constraints cheap
+                # to absorb.  UNSAT here soundly retires the budget —
+                # pool tests are valid for the spec, so no correct
+                # program at this budget exists.  A conflict-capped
+                # UNKNOWN just stops warming: the learnt clauses are kept
+                # and the live loop's uncapped solves settle the instance.
+                with tracer.span("cegis.pool_warmup"):
+                    status = solve_once(
+                        warmup_conflicts=POOL_WARMUP_MAX_CONFLICTS
+                    )
+                if status == UNSAT:
+                    return unsat()
+                since_solve = 0
+            encoded_inputs.add(bits)
+            encode_test(bits, expected)
+            since_solve += 1
+            outcome.pool_reused += 1
+            tracer.count("tests.pool_hits")
+            if origin != ORIGIN_SEED:
+                tracer.count("cex.reused")
+
+        if not pool.has_seeds(pool_base):
+            for bits, expected in initial_tests(
+                spec, rng, max_steps=max_steps, directed=directed_tests,
+            ):
+                pool.add(bits, ORIGIN_SEED)
+                if bits in encoded_inputs:
+                    continue
+                encoded_inputs.add(bits)
+                encode_test(bits, expected)
+
+        # Checkpoint replay: re-apply previously discovered
+        # counterexamples, preceding each with the solve its original
+        # iteration made (keeping the CDCL state identical to the
+        # interrupted run's) but skipping the decode + verification
+        # work — that is where resume saves time.
+        for bits in replay or ():
+            expected = simulate_spec(spec, bits, max_steps)
+            if expected.outcome == OUTCOME_OVERRUN:
+                continue
+            with tracer.span("cegis.replay", index=outcome.replayed + 1):
+                status = solve_once()
+            if status == UNSAT:
+                return unsat()
+            if status == UNKNOWN:
+                raise SynthesisTimeout("SAT solver budget exhausted", outcome)
+            encode_test(bits, expected)
+            outcome.replayed += 1
+            tracer.count("cegis.replayed")
+
+        while outcome.iterations < max_iterations:
+            outcome.iterations += 1
+            tracer.count("cegis.iterations")
+            with tracer.span("cegis.iteration", index=outcome.iterations):
+                status = solve_once()
+                if status == UNSAT:
+                    return unsat()
+                if status == UNKNOWN:
+                    raise SynthesisTimeout(
+                        "SAT solver budget exhausted", outcome
+                    )
+                candidate = sp.decode(solver.model())
+                with tracer.span("verify") as verify_span:
+                    try:
+                        cex = verify_equivalent(
+                            spec,
+                            candidate,
+                            max_steps=max_steps,
+                            max_configs=verify_max_configs,
+                        )
+                    except VerificationBudgetExceeded as exc:
+                        exc.outcome = outcome
+                        raise
+                    finally:
+                        outcome.verification_seconds += verify_span.elapsed()
+                if cex is None:
+                    outcome.program = candidate
+                    if certify:
+                        outcome.constraint_digest = (
+                            solver.proof.input_digest()
+                        )
+                        outcome.witnesses = list(witnesses)
+                    return outcome
+                outcome.counterexamples.append(cex)
+                tracer.count("cegis.counterexamples")
+                if on_counterexample is not None:
+                    on_counterexample(cex.bits)
+            expected = simulate_spec(spec, cex.bits, max_steps)
+            if expected.outcome == OUTCOME_OVERRUN:
+                raise RuntimeError(
+                    "specification overran its step bound on a "
+                    "counterexample; increase max_unroll_steps"
+                )
+            encode_test(cex.bits, expected)
+        raise SynthesisTimeout(
+            f"CEGIS did not converge within {max_iterations} iterations",
+            outcome,
+        )
+    finally:
+        outcome.clauses_added = solver.sat_solver.num_clauses_added
+        tracer.count("sat.clauses_added", outcome.clauses_added)

@@ -4,9 +4,11 @@
 
 1. front-end — canonicalize the spec, unroll self-loops for forward-only
    targets, apply Opt2/Opt6 scaling;
-2. resource search — iterate budgets (stages outer for pipelined targets,
-   TCAM entries inner) from their lower bounds upward; the first budget
-   whose CEGIS run succeeds is resource-minimal;
+2. resource search — a ladder of budgets (stages outer for pipelined
+   targets, TCAM entries inner) from their lower bounds upward, each
+   decided by one CEGIS run before the next is tried; the first budget
+   that succeeds is resource-minimal, and a budget left undecided ends
+   the compile as a resumable timeout;
 3. back-end — post-synthesis optimization, scale restoration, a final
    exact verification against the *original* specification, and a device
    constraint check.
@@ -40,11 +42,7 @@ from ..persist import (
     write_certificate,
 )
 from ..resilience import CompileFault
-from .cegis import (
-    CegisSession,
-    SynthesisTimeout,
-    synthesize_for_budget,
-)
+from .cegis import SynthesisTimeout, synthesize_for_budget
 from .encoder import EncodingOverflow
 from .normalize import CompileError, prepare_spec
 from .options import CompileOptions
@@ -292,25 +290,19 @@ class ParserHawkCompiler:
             ("loop" if allow_loops else "fwd") + ":"
             + spec_fingerprint(synth_spec)[:16]
         )
-        pool: Optional[TestPool] = None
-        pool_bases: dict = {}
-        if options.test_reuse:
-            pool = TestPool(synth_spec)
-            if manager is not None:
-                # Resume: rebuild the pool exactly as recorded (content
-                # AND order — budget runs are seeded from its prefixes,
-                # so faithfulness depends on both).
-                for value, length, origin in manager.pool_entries(arm_key):
-                    pool.add(Bits(value, length), origin)
-                # From here on, every new entry becomes durable.
-                pool.on_add = (
-                    lambda entry: manager.record_pool_entry(
-                        arm_key,
-                        entry.bits.uint(),
-                        len(entry.bits),
-                        entry.origin,
-                    )
+        pool = TestPool(synth_spec)
+        if manager is not None:
+            # Resume: rebuild the pool exactly as recorded (content AND
+            # order — budget runs are seeded from its prefixes, so
+            # faithfulness depends on both).
+            for value, length, origin in manager.pool_entries(arm_key):
+                pool.add(Bits(value, length), origin)
+            # From here on, every new entry becomes durable.
+            pool.on_add = (
+                lambda entry: manager.record_pool_entry(
+                    arm_key, entry.bits.uint(), len(entry.bits), entry.origin,
                 )
+            )
         entry_lb = entry_lower_bound(synth_spec, device)
         entry_ub = min(
             device.total_entry_budget(),
@@ -323,255 +315,177 @@ class ParserHawkCompiler:
             )
         else:
             stage_budgets = [None]
-        # Budget exploration uses iterative deepening with time slices
-        # (the sequential emulation of §6.7.2's parallel subproblem
-        # portfolio): ascending budgets each get a slice; budgets proved
-        # UNSAT are retired; budgets whose slice expires are retried with a
-        # larger slice only if nothing cheaper succeeds first.  The first
-        # success is therefore the smallest budget the solver could settle
-        # within the escalation schedule.
-        budgets: List[Tuple[Optional[int], int]] = []
+        tracer = get_tracer()
+        retired: set = set()
+        if manager is not None:
+            # Resume: budgets a previous run proved UNSAT are skipped.
+            retired = manager.retired_budgets(arm_key)
+            if retired:
+                tracer.count("checkpoint.budgets_skipped", len(retired))
+        # The budget ladder (§5.2): stages outer, entries inner, each
+        # budget decided before the next is tried.  A budget is either
+        # refuted (UNSAT: retire it and climb), solved (return the
+        # program) or left undecided (end the compile as a resumable
+        # timeout).  An ok result's budget is therefore minimal: every
+        # smaller budget on the ladder was refuted.
         for stage_budget in stage_budgets:
             for num_entries in range(entry_lb, entry_ub + 1):
-                budgets.append((stage_budget, num_entries))
-        retired: set = set()
-        attempted: set = set()
-        # Warm solver paths (incremental synthesis): budgets whose time
-        # slice expired park their live CegisSession here and the next
-        # escalation round *continues* it — no re-encoding, no repeated
-        # solves or verifications.  Gated on the pool (options.test_reuse)
-        # so --no-test-reuse measures the cold-retry baseline.
-        warm_sessions: dict = {}
-        tracer = get_tracer()
-        saw_unknown = False
-        slice_seconds = options.budget_time_slice
-        if manager is not None:
-            # Resume: budgets a previous run proved UNSAT stay retired,
-            # and the escalation schedule restarts at the slice the
-            # previous run had reached (smaller slices are already known
-            # to be insufficient for the surviving budgets).
-            preloaded = manager.retired_budgets(arm_key)
-            if preloaded:
-                retired |= preloaded
-                tracer.count("checkpoint.budgets_skipped", len(preloaded))
-            persisted_slice = manager.resume_slice(arm_key)
-            if persisted_slice:
-                slice_seconds = max(slice_seconds, min(
-                    persisted_slice, options.max_time_slice
-                ))
-        while budgets and slice_seconds <= options.max_time_slice:
-            remaining: List[Tuple[Optional[int], int]] = []
-            for stage_budget, num_entries in budgets:
                 budget_key = (stage_budget, num_entries)
                 if budget_key in retired:
                     continue
                 if deadline is not None and time.monotonic() > deadline:
                     raise SynthesisTimeout("compiler deadline exceeded")
-                if budget_key in attempted:
-                    # A later escalation round re-attempting a budget whose
-                    # earlier time slice expired is a retry, not a new
-                    # budget (the old code inflated budgets_tried here).
-                    stats.budget_retries += 1
-                    tracer.count("budget.retries")
-                else:
-                    attempted.add(budget_key)
-                    stats.budgets_tried += 1
-                    tracer.count("budget.attempts")
+                stats.budgets_tried += 1
+                tracer.count("budget.attempts")
                 with tracer.span(
-                    "budget",
-                    stages=stage_budget,
-                    entries=num_entries,
-                    slice=slice_seconds,
+                    "budget", stages=stage_budget, entries=num_entries
                 ):
-                    slice_cap = slice_seconds
-                    if options.synthesis_max_seconds is not None:
-                        slice_cap = min(
-                            slice_cap, options.synthesis_max_seconds
-                        )
-                    session = warm_sessions.get(budget_key)
-                    if session is not None:
-                        # Warm continuation: the expired attempt's solver,
-                        # constraints, RNG position and iteration counter
-                        # are all live — this slice picks up exactly where
-                        # the previous one stopped.
-                        stats.warm_resumes += 1
-                        tracer.count("budget.warm_resumes")
-                    else:
-                        skeleton = build_skeleton(
-                            synth_spec,
-                            device,
-                            options,
-                            num_entries=num_entries,
-                            stage_budget=stage_budget,
-                            allow_loops=allow_loops,
-                        )
-                        stats.search_space_bits = max(
-                            stats.search_space_bits,
-                            skeleton.search_space_bits(),
-                        )
-                        rng = _budget_rng(
-                            options.seed, allow_loops, stage_budget,
-                            num_entries,
-                        )
-                        pool_base = None
-                        if pool is None:
-                            # No pool: keep the original replay behaviour
-                            # (re-apply everything ever recorded for this
-                            # budget).
-                            replay = None
-                            if manager is not None:
-                                replay = manager.replay_for(
-                                    arm_key, budget_key
-                                )
-                        else:
-                            # The checkpoint records each budget's LATEST
-                            # attempt (pool_base + its live
-                            # counterexamples).  Only the first in-process
-                            # touch of a budget can be a faithful
-                            # continuation of a persisted attempt; a cold
-                            # retry (rare — warm sessions cover slice
-                            # expiry) re-baselines to the full current
-                            # pool — earlier attempts' discoveries are in
-                            # it, which is exactly the cross-attempt reuse
-                            # that makes retries cheap — and resets the
-                            # budget's record to match.
-                            replay = None
-                            if (
-                                budget_key not in pool_bases
-                                and manager is not None
-                            ):
-                                pool_base = manager.pool_base(
-                                    arm_key, budget_key
-                                )
-                                if pool_base is not None:
-                                    replay = manager.replay_for(
-                                        arm_key, budget_key
-                                    )
-                            if pool_base is None:
-                                pool_base = len(pool)
-                                if manager is not None:
-                                    manager.begin_attempt(
-                                        arm_key, budget_key, pool_base
-                                    )
-                            pool_bases[budget_key] = pool_base
-
-                        def on_cex(bits, _b=budget_key):
-                            if manager is not None:
-                                manager.record_counterexample(
-                                    arm_key, _b, bits
-                                )
-                            if pool is not None:
-                                pool.add(bits, ORIGIN_CEX)
-
-                        session = CegisSession(
-                            skeleton,
-                            rng,
-                            max_iterations=options.max_cegis_iterations,
-                            max_conflicts_per_solve=(
-                                options.synthesis_max_conflicts
-                            ),
-                            directed_tests=options.directed_seed_tests,
-                            replay=replay,
-                            on_counterexample=on_cex,
-                            pool=pool,
-                            pool_base=pool_base,
-                            certify=options.certify,
-                        )
-                    try:
-                        outcome = session.run(
-                            max_seconds=slice_cap, deadline=deadline
-                        )
-                    except SynthesisTimeout as exc:
-                        if exc.outcome is not None:
-                            self._merge_outcome(stats, exc.outcome)
-                        saw_unknown = True
-                        remaining.append(budget_key)
-                        if pool is not None:
-                            warm_sessions[budget_key] = session
-                        continue
-                    except (
-                        EncodingOverflow, VerificationBudgetExceeded
-                    ) as exc:
-                        partial = getattr(exc, "outcome", None)
-                        if partial is not None:
-                            self._merge_outcome(stats, partial)
-                        return CompileResult(
-                            STATUS_INFEASIBLE, device, message=str(exc)
-                        )
-                    self._merge_outcome(stats, outcome)
-                    # Terminal outcome (program or UNSAT proof): the
-                    # session's solver state has no further use.
-                    warm_sessions.pop(budget_key, None)
-                    if not outcome.feasible:
-                        retired.add(budget_key)
-                        stats.budgets_retired += 1
-                        tracer.count("budget.retired")
-                        if manager is not None:
-                            proof_ref = None
-                            proof = getattr(outcome, "proof", None)
-                            if (
-                                options.certify
-                                and proof is not None
-                                and proof.has_refutation
-                            ):
-                                # UNSAT-gated verdict: park the DRAT
-                                # bundle next to the checkpoint so the
-                                # retirement is offline-checkable.
-                                budget_id = (
-                                    f"{'-' if stage_budget is None else stage_budget}"
-                                    f":{num_entries}"
-                                )
-                                proof_ref = store_proof_bundle(
-                                    manager.directory,
-                                    manager.compile_key,
-                                    arm_key,
-                                    budget_id,
-                                    proof,
-                                )
-                            manager.record_retired(
-                                arm_key, budget_key, proof_ref=proof_ref
-                            )
-                        continue  # proved UNSAT at this budget; grow it
-                    assert outcome.program is not None
-                    program = post_optimize(outcome.program, device)
-                    program = self._restore_scaling(program, plan)
-                    final = self._finalize(
-                        original_spec, program, device, options
+                    final = self._decide_budget(
+                        original_spec, synth_spec, plan, device, options,
+                        stats, deadline, allow_loops, manager, arm_key,
+                        pool, budget_key,
                     )
-                    if final is not None:
-                        self._attach_certify_payload(
-                            final, original_spec, outcome, options
-                        )
-                        return final
-                    # Restoration failed validation (rare: scaling
-                    # interacted with semantics): retry this budget
-                    # without scaling.
-                    final = self._retry_unscaled(
-                        original_spec, device, options, stats, deadline,
-                        allow_loops, num_entries, stage_budget, slice_cap,
-                    )
-                    if final is not None:
-                        return final
-                    remaining.append(budget_key)
-            budgets = remaining
-            slice_seconds *= options.time_slice_growth
-            if manager is not None:
-                manager.record_slice(arm_key, slice_seconds)
-                manager.flush(force=True)
-        # Undecided budgets (slice schedule ran out first) mean the search
-        # timed out; if every budget was *retired* — each one individually
-        # proved UNSAT — infeasibility is proved even when some earlier
-        # slice expired along the way (saw_unknown only tracks transient
-        # expiries, which retirement supersedes).
-        if budgets or (saw_unknown and len(retired) < len(attempted)):
-            raise SynthesisTimeout(
-                "budget search exhausted its time-slice schedule"
-            )
+                if final is not None:
+                    return final
         return CompileResult(
             STATUS_INFEASIBLE,
             device,
             message="no implementation exists within the device's "
             "resource limits",
+        )
+
+    def _decide_budget(
+        self,
+        original_spec: ParserSpec,
+        synth_spec: ParserSpec,
+        plan,
+        device: DeviceProfile,
+        options: CompileOptions,
+        stats: CompileStats,
+        deadline: Optional[float],
+        allow_loops: bool,
+        manager: Optional[CheckpointManager],
+        arm_key: str,
+        pool: TestPool,
+        budget_key: Tuple[Optional[int], int],
+    ) -> Optional[CompileResult]:
+        """One budget's one CEGIS run.  Returns the final result (a
+        verified program, or infeasible when the encoding or verifier
+        cannot handle the spec), None when the budget is proved UNSAT,
+        and raises :class:`SynthesisTimeout` naming the budget when it
+        stays undecided."""
+        stage_budget, num_entries = budget_key
+        label = (
+            f"{num_entries} entries" if stage_budget is None
+            else f"{stage_budget} stages x {num_entries} entries"
+        )
+        tracer = get_tracer()
+        skeleton = build_skeleton(
+            synth_spec,
+            device,
+            options,
+            num_entries=num_entries,
+            stage_budget=stage_budget,
+            allow_loops=allow_loops,
+        )
+        stats.search_space_bits = max(
+            stats.search_space_bits, skeleton.search_space_bits()
+        )
+        rng = _budget_rng(
+            options.seed, allow_loops, stage_budget, num_entries
+        )
+        # A budget recorded by an interrupted run resumes faithfully: the
+        # same pool prefix, then its recorded counterexamples replayed.
+        replay = None
+        pool_base = (
+            manager.pool_base(arm_key, budget_key)
+            if manager is not None else None
+        )
+        if pool_base is not None:
+            replay = manager.replay_for(arm_key, budget_key)
+        else:
+            pool_base = len(pool)
+            if manager is not None:
+                manager.begin_attempt(arm_key, budget_key, pool_base)
+
+        def on_cex(bits):
+            if manager is not None:
+                manager.record_counterexample(arm_key, budget_key, bits)
+            pool.add(bits, ORIGIN_CEX)
+
+        try:
+            outcome = synthesize_for_budget(
+                skeleton,
+                rng,
+                max_iterations=options.max_cegis_iterations,
+                max_seconds=options.synthesis_max_seconds,
+                max_conflicts_per_solve=options.synthesis_max_conflicts,
+                deadline=deadline,
+                directed_tests=options.directed_seed_tests,
+                replay=replay,
+                on_counterexample=on_cex,
+                pool=pool,
+                pool_base=pool_base,
+                certify=options.certify,
+            )
+        except SynthesisTimeout as exc:
+            if exc.outcome is not None:
+                self._merge_outcome(stats, exc.outcome)
+            raise SynthesisTimeout(
+                f"budget of {label} undecided: {exc}"
+            ) from exc
+        except (EncodingOverflow, VerificationBudgetExceeded) as exc:
+            partial = getattr(exc, "outcome", None)
+            if partial is not None:
+                self._merge_outcome(stats, partial)
+            return CompileResult(STATUS_INFEASIBLE, device, message=str(exc))
+        self._merge_outcome(stats, outcome)
+        if not outcome.feasible:
+            stats.budgets_retired += 1
+            tracer.count("budget.retired")
+            if manager is not None:
+                proof_ref = None
+                proof = getattr(outcome, "proof", None)
+                if (
+                    options.certify
+                    and proof is not None
+                    and proof.has_refutation
+                ):
+                    # UNSAT-gated verdict: park the DRAT bundle next to
+                    # the checkpoint so the retirement is
+                    # offline-checkable.
+                    proof_ref = store_proof_bundle(
+                        manager.directory,
+                        manager.compile_key,
+                        arm_key,
+                        f"{'-' if stage_budget is None else stage_budget}"
+                        f":{num_entries}",
+                        proof,
+                    )
+                manager.record_retired(
+                    arm_key, budget_key, proof_ref=proof_ref
+                )
+            return None
+        assert outcome.program is not None
+        program = post_optimize(outcome.program, device)
+        program = self._restore_scaling(program, plan)
+        final = self._finalize(original_spec, program, device, options)
+        if final is not None:
+            self._attach_certify_payload(
+                final, original_spec, outcome, options
+            )
+            return final
+        # Restoration failed validation (rare: scaling interacted with
+        # semantics): retry this budget without scaling.
+        final = self._retry_unscaled(
+            original_spec, device, options, stats, deadline,
+            allow_loops, num_entries, stage_budget,
+        )
+        if final is not None:
+            return final
+        raise SynthesisTimeout(
+            f"budget of {label} undecided: its scaled program failed "
+            "final validation and the unscaled retry found none"
         )
 
     def _retry_unscaled(
@@ -584,7 +498,6 @@ class ParserHawkCompiler:
         allow_loops: bool,
         num_entries: int,
         stage_budget: Optional[int],
-        slice_cap: float,
     ) -> Optional[CompileResult]:
         rng = _budget_rng(
             options.seed, allow_loops, stage_budget, num_entries,
@@ -610,7 +523,7 @@ class ParserHawkCompiler:
                 skeleton,
                 rng,
                 max_iterations=options.max_cegis_iterations,
-                max_seconds=slice_cap,
+                max_seconds=options.synthesis_max_seconds,
                 max_conflicts_per_solve=options.synthesis_max_conflicts,
                 deadline=deadline,
                 directed_tests=options.directed_seed_tests,

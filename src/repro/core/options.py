@@ -7,13 +7,20 @@ Table 5 ablation benches flip them individually.  ``all_disabled`` is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 
 @dataclass(frozen=True)
 class CompileOptions:
-    """Knobs for a :class:`~repro.core.compiler.ParserHawkCompiler` run."""
+    """Knobs for a :class:`~repro.core.compiler.ParserHawkCompiler` run.
+
+    The budget ladder itself has no knobs: budgets are decided in
+    ascending order, one CEGIS run each, against the shared test pool.
+    ``synthesis_max_seconds`` caps one run and ``total_max_seconds`` the
+    whole compile; a budget that neither cap lets settle ends the compile
+    as a resumable timeout, so an ok result's budget is always minimal
+    on the ladder."""
 
     # §6.1 spec-guided key construction: restrict impl transition-key bits
     # to those the specification itself keys on.
@@ -40,14 +47,6 @@ class CompileOptions:
     # Directed seed tests for CEGIS (our addition; the paper seeds with a
     # single random input/output pair, which the "Orig" arm reproduces).
     directed_seed_tests: bool = True
-    # Incremental synthesis (repro.core.testpool): record every
-    # counterexample and directed seed test once and replay the pool as
-    # up-front constraints into every subsequent budget's CEGIS run.
-    # Valid tests only ever prune spec-inequivalent candidates, so
-    # per-budget feasibility — and the minimal budget found — is
-    # unchanged; the knob exists for A/B measurement (CLI
-    # --no-test-reuse, benchmarks/bench_compile_speed).
-    test_reuse: bool = True
     # Equality-saturation normalization (PR 10, repro.ir.eqsat): after
     # the greedy canonicalize pass, build an e-graph over the spec,
     # saturate the non-destructive R1–R5 rewrites to a bounded fixed
@@ -60,18 +59,11 @@ class CompileOptions:
     max_cegis_iterations: int = 40
     max_unroll_steps: Optional[int] = None   # K in Figure 6; None = derive
     synthesis_max_conflicts: Optional[int] = None
-    synthesis_max_seconds: Optional[float] = None
+    synthesis_max_seconds: Optional[float] = 900.0
     total_max_seconds: Optional[float] = None
 
-    # Resource search.
-    max_extra_entries: int = 8         # beyond the lower bound, per attempt
-    max_aux_states_per_state: int = 4  # key-splitting auxiliaries
-    minimize_stages: bool = True       # lexicographic (stages, entries) on IPU
-    # Iterative-deepening schedule over budgets (§6.7.2 portfolio,
-    # sequential emulation): each budget gets a time slice per round.
-    budget_time_slice: float = 10.0
-    time_slice_growth: float = 4.0
-    max_time_slice: float = 900.0
+    # Resource search: entry budgets beyond the lower bound.
+    max_extra_entries: int = 8
 
     # Reproducibility.
     seed: int = 0

@@ -21,9 +21,9 @@ class CompileStats:
     Timing fields derive from the tracing layer's spans
     (:mod:`repro.obs`): ``total_seconds`` is the ``compile`` span,
     ``synthesis_seconds``/``verification_seconds`` sum the ``sat.solve``
-    and ``verify`` spans.  ``budgets_tried`` counts *unique*
-    ``(stage, entries)`` budgets; re-attempts of the same budget under a
-    larger time slice are ``budget_retries``.
+    and ``verify`` spans.  ``budgets_tried`` counts the ``(stage,
+    entries)`` budgets on the ladder that got their one CEGIS run;
+    ``budgets_retired`` counts those proved UNSAT.
     """
 
     synthesis_seconds: float = 0.0
@@ -46,11 +46,6 @@ class CompileStats:
     # reduces this without changing any SAT/UNSAT answer).
     sat_clauses_added: int = 0
     budgets_tried: int = 0
-    budget_retries: int = 0
-    # Retries served by a parked warm CegisSession (solver state, encoded
-    # constraints and iteration position carried over) instead of a cold
-    # re-run from scratch.
-    warm_resumes: int = 0
     budgets_retired: int = 0
     counterexamples: int = 0
     search_space_bits: int = 0

@@ -40,6 +40,8 @@ from ..ir.spec import (
 from .options import CompileOptions
 
 FREE_PATTERN = "FREE"   # sentinel: symbolic value/mask (Opt4 disabled)
+# Most auxiliary key-splitting states one spec state may receive.
+MAX_AUX_STATES_PER_STATE = 4
 
 
 @dataclass(frozen=True)
@@ -592,7 +594,7 @@ def build_skeleton(
         import math
 
         needed = min(
-            options.max_aux_states_per_state,
+            MAX_AUX_STATES_PER_STATE,
             max(
                 math.ceil(natural_w / device.key_limit) - 1,
                 _distinct_high_groups(spec_state, device.key_limit),

@@ -18,6 +18,7 @@ spec-inequivalent candidates: per-budget feasibility — and therefore the
 minimal budget found — is semantically unchanged, while most of the
 re-discovery round-trips disappear.
 
+The pool is always on: every budget on the ladder runs against it.
 Pools are strictly per compile and per bit **layout**: counterexample
 inputs live in the *synthesis* spec's bit positions, which Opt2/Opt6
 scaling derive per loop mode.  Portfolio arms never exchange tests; each

@@ -136,11 +136,7 @@ def measure_orig(
     """Compile with every §6 optimization disabled, under a wall-clock cap
     (the paper's cap is 24 hours; ours is configurable and the capped
     cells render as '>cap')."""
-    opts = CompileOptions.all_disabled(
-        total_max_seconds=cap_seconds,
-        budget_time_slice=cap_seconds,
-        max_time_slice=cap_seconds,
-    )
+    opts = CompileOptions.all_disabled(total_max_seconds=cap_seconds)
     compiler = ParserHawkCompiler(opts)
     t0 = time.monotonic()
     result = compiler.compile(spec, device)

@@ -53,12 +53,7 @@ def run_table5(
         seconds: Dict[str, float] = {}
         capped: Dict[str, bool] = {}
         for config_label, overrides in CONFIGS:
-            opts = CompileOptions(
-                total_max_seconds=cap_seconds,
-                budget_time_slice=cap_seconds,
-                max_time_slice=cap_seconds,
-                **overrides,
-            )
+            opts = CompileOptions(total_max_seconds=cap_seconds, **overrides)
             compiler = ParserHawkCompiler(opts)
             t0 = time.monotonic()
             result = compiler.compile(spec, device)

@@ -12,8 +12,7 @@ restart cheaply:
   equivalence verification) to land in the identical solver state before
   continuing live;
 * per-arm **budget-search position**: budgets proved UNSAT (``retired``,
-  skipped forever on resume) and the escalation schedule's current time
-  slice;
+  skipped forever on resume);
 * the per-arm **test pool** (see :mod:`repro.core.testpool`), in
   insertion order, plus each budget's ``pool_base`` — the pool size when
   that budget's run started.  A budget's solver state is a function of
@@ -35,7 +34,7 @@ from __future__ import annotations
 import time
 import weakref
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..ir.bits import Bits
 from ..obs import get_tracer
@@ -144,7 +143,6 @@ class CheckpointManager:
         return self.state["arms"].setdefault(
             arm_key,
             {
-                "slice_seconds": None,
                 "retired": [],
                 "budgets": {},
                 "pool": [],
@@ -193,27 +191,15 @@ class CheckpointManager:
             for value, length, origin in arm.get("pool", [])
         ]
 
-    def record_pool_base(
-        self, arm_key: str, budget: BudgetKey, base: int
-    ) -> None:
-        budget_doc = self._arm(arm_key)["budgets"].setdefault(
-            _budget_id(budget), {"cex": []}
-        )
-        if budget_doc.get("pool_base") != base:
-            budget_doc["pool_base"] = base
-            self._dirty = True
-
     def begin_attempt(
         self, arm_key: str, budget: BudgetKey, base: int
     ) -> None:
-        """Reset a budget's record for a fresh attempt.
+        """Record the pool size when a budget's one CEGIS run starts.
 
-        The checkpoint describes the budget's *latest* attempt: its
-        ``pool_base`` (the full pool as of attempt start — earlier
-        attempts' discoveries are in the pool, so a retry reuses them)
-        and only the counterexamples that attempt discovers live.  A
-        resumed run then replays exactly that attempt: seed the pool
-        prefix, re-apply its recorded counterexamples."""
+        The budget's record then holds that ``pool_base`` and the
+        counterexamples the run discovers live; a resumed run replays
+        exactly that: seed the pool prefix, re-apply the recorded
+        counterexamples."""
         self._arm(arm_key)["budgets"][_budget_id(budget)] = {
             "cex": [],
             "pool_base": base,
@@ -262,18 +248,6 @@ class CheckpointManager:
         if not arm:
             return set()
         return {(stage, entries) for stage, entries in arm["retired"]}
-
-    def record_slice(self, arm_key: str, slice_seconds: float) -> None:
-        arm = self._arm(arm_key)
-        if arm["slice_seconds"] != slice_seconds:
-            arm["slice_seconds"] = slice_seconds
-            self._dirty = True
-
-    def resume_slice(self, arm_key: str) -> Optional[float]:
-        arm = self.state["arms"].get(arm_key)
-        if not arm:
-            return None
-        return arm["slice_seconds"]
 
     # -- portfolio manifest ------------------------------------------------
     def record_arm_result(

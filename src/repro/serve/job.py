@@ -47,11 +47,8 @@ OPTION_OVERRIDES = frozenset(
     {
         "seed",
         "certify",
-        "test_reuse",
         "directed_seed_tests",
         "max_extra_entries",
-        "budget_time_slice",
-        "max_time_slice",
         "synthesis_max_conflicts",
         "synthesis_max_seconds",
         "total_max_seconds",

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core import CompileOptions, build_skeleton, prepare_spec
 from repro.core.cegis import (
-    CegisSession,
     SynthesisTimeout,
     initial_tests,
     synthesize_for_budget,
@@ -18,12 +17,6 @@ from repro.core.testpool import TestPool as SharedPool
 from repro.hw import tofino_profile
 from repro.ir import Bits, parse_spec, simulate_spec
 
-
-def _entry_rows(program):
-    return [
-        (e.sid, e.pattern.value, e.pattern.mask, e.next_sid)
-        for e in program.entries
-    ]
 
 TOFINO = tofino_profile(
     key_limit=8, tcam_limit=64, lookahead_limit=8, extract_limit=64
@@ -138,66 +131,6 @@ class TestSynthesizeForBudget:
             )
 
 
-class TestCegisSessionWarm:
-    """Warm solver paths: an expired attempt is continued, not re-run."""
-
-    def _skeleton(self, dispatch):
-        synth, _plan = prepare_spec(
-            dispatch, pipelined=False, minimize_widths=True, fix_varbits=True
-        )
-        return build_skeleton(
-            synth, TOFINO, CompileOptions(), num_entries=3, allow_loops=False
-        )
-
-    def test_expired_session_resumes_to_the_cold_answer(self, dispatch):
-        skeleton = self._skeleton(dispatch)
-        session = CegisSession(skeleton, random.Random(0))
-        # Attempt 1 expires at its first solve; the interrupted iteration
-        # is charged to the attempt that started it.
-        with pytest.raises(SynthesisTimeout) as exc:
-            session.run(max_seconds=0.0)
-        assert exc.value.outcome is not None
-        assert exc.value.outcome.iterations == 1
-        assert exc.value.outcome.sat_conflicts == 0   # no solve happened
-        # Attempt 2 continues the same session to convergence.
-        outcome = session.run(max_seconds=60.0)
-        assert outcome.feasible and outcome.program is not None
-        cold = synthesize_for_budget(self._skeleton(dispatch), random.Random(0))
-        assert _entry_rows(outcome.program) == _entry_rows(cold.program)
-        assert outcome.iterations == cold.iterations
-
-    def test_attempt_outcomes_are_deltas(self, dispatch):
-        """Each run() reports only its own attempt's measurements, so the
-        budget search can sum attempts without double counting."""
-        skeleton = self._skeleton(dispatch)
-        session = CegisSession(skeleton, random.Random(0))
-        with pytest.raises(SynthesisTimeout) as exc:
-            session.run(max_seconds=0.0)
-        first = exc.value.outcome
-        second = session.run(max_seconds=60.0)
-        cold = synthesize_for_budget(self._skeleton(dispatch), random.Random(0))
-        # The interrupted iteration restarts, so the attempts sum to one
-        # extra count — but never to duplicated solver work.
-        assert first.iterations + second.iterations == cold.iterations + 1
-        # The structural + seed encoding happened once, in attempt 1;
-        # together the attempts emit exactly the cold run's clauses.
-        assert first.clauses_added > 0
-        assert first.clauses_added + second.clauses_added == (
-            cold.clauses_added
-        )
-
-    def test_iteration_cap_spans_the_whole_session(self, dispatch):
-        session = CegisSession(
-            self._skeleton(dispatch), random.Random(0), max_iterations=0
-        )
-        with pytest.raises(SynthesisTimeout, match="did not converge"):
-            session.run(max_seconds=60.0)
-        # The cap is total across attempts — a later attempt cannot
-        # spend iterations a cold run would not have had.
-        with pytest.raises(SynthesisTimeout, match="did not converge"):
-            session.run(max_seconds=60.0)
-
-
 class TestPoolReplayInCegis:
     def _skeleton(self, dispatch):
         synth, _plan = prepare_spec(
@@ -239,10 +172,9 @@ class TestPoolReplayInCegis:
         pool.add(Bits(0x01, 8))
         base = len(pool)
         pool.add(Bits(0x02, 8))   # arrives after the attempt started
-        session = CegisSession(
-            skeleton, random.Random(0), directed_tests=False,
-            pool=pool, pool_base=base,
+        outcome = synthesize_for_budget(
+            skeleton, random.Random(0), max_seconds=60.0,
+            directed_tests=False, pool=pool, pool_base=base,
         )
-        outcome = session.run(max_seconds=60.0)
         assert outcome.feasible
         assert outcome.pool_reused == base

@@ -307,76 +307,46 @@ class TestStatsAndOptions:
         assert "entries" in row and "CEGIS" in row
 
 
-class TestBudgetAccounting:
-    """Regression: retrying a budget in a later escalation round must not
-    inflate ``budgets_tried`` (the old code re-counted it every round)."""
+class TestBudgetLadder:
+    """Each budget is decided before the next one is tried: an
+    undecided budget ends the compile instead of letting a larger
+    budget win, so an ok result's budget is always minimal."""
 
-    def test_retried_budget_counted_once(self, dispatch_spec, monkeypatch):
+    def test_undecided_budget_ends_the_compile(
+        self, dispatch_spec, monkeypatch, tmp_path
+    ):
         from repro.core import SynthesisTimeout
         from repro.core import compiler as compiler_mod
+        from repro.core.skeleton import entry_lower_bound
 
-        class AlwaysTimesOut:
-            def __init__(self, *_args, **_kwargs):
-                pass
+        lower_bound = entry_lower_bound(dispatch_spec, TOFINO)
+        real = compiler_mod.synthesize_for_budget
+        budgets = []
 
-            def run(self, *_args, **_kwargs):
-                raise SynthesisTimeout("synthetic slice expiry")
+        def lowest_budget_times_out(skeleton, rng, **kwargs):
+            budgets.append(skeleton.num_entries)
+            if len(budgets) == 1:
+                raise SynthesisTimeout("synthetic time cap")
+            return real(skeleton, rng, **kwargs)
 
-        monkeypatch.setattr(compiler_mod, "CegisSession", AlwaysTimesOut)
-        opts = CompileOptions(
-            max_extra_entries=0,       # exactly one budget
-            budget_time_slice=0.05,    # three escalation rounds:
-            time_slice_growth=2.0,     # 0.05, 0.1, 0.2
-            max_time_slice=0.2,
+        monkeypatch.setattr(
+            compiler_mod, "synthesize_for_budget", lowest_budget_times_out
         )
-        result = ParserHawkCompiler(opts).compile(dispatch_spec, TOFINO)
+        result = ParserHawkCompiler(CompileOptions()).compile(
+            dispatch_spec, TOFINO, checkpoint_dir=str(tmp_path / "ckpt")
+        )
         assert result.status == STATUS_TIMEOUT
-        # One unique budget attempted; the two re-attempts are retries.
         assert result.stats.budgets_tried == 1
-        assert result.stats.budget_retries == 2
+        assert budgets == [lower_bound]
+        assert (
+            f"budget of {lower_bound} entries undecided" in result.message
+        )
+        assert result.checkpoint_path
 
 
 class TestTestReuse:
-    """Cross-budget test reuse (the shared pool + warm sessions) must
-    never change an answer — only how much work finding it costs."""
-
-    def test_reuse_on_off_agree_on_resources(self, dispatch_spec, rng):
-        on = compile_spec(
-            dispatch_spec, TOFINO, CompileOptions(test_reuse=True)
-        )
-        off = compile_spec(
-            dispatch_spec, TOFINO, CompileOptions(test_reuse=False)
-        )
-        assert on.ok and off.ok
-        assert on.num_entries == off.num_entries
-        assert on.num_stages == off.num_stages
-        assert on.stats.cegis_iterations <= off.stats.cegis_iterations
-        assert_program_matches_spec(dispatch_spec, on.program, rng)
-
-    def test_forced_retries_resume_warm(self, dispatch_spec, rng):
-        """A microscopic first slice forces the escalation schedule to
-        retry: with reuse the parked session continues (warm_resumes),
-        without it every retry is a cold re-run.  Where exactly a slice
-        expires is wall-clock dependent, so the entry *patterns* may
-        legitimately differ between modes — the guarantee is the winning
-        budget (the resource counts) and correctness, which must be
-        identical."""
-        on = compile_spec(
-            dispatch_spec, TOFINO,
-            CompileOptions(test_reuse=True, budget_time_slice=1e-6),
-        )
-        off = compile_spec(
-            dispatch_spec, TOFINO,
-            CompileOptions(test_reuse=False, budget_time_slice=1e-6),
-        )
-        assert on.ok and off.ok
-        assert on.num_entries == off.num_entries
-        assert on.num_stages == off.num_stages
-        assert on.stats.warm_resumes >= 1
-        assert off.stats.warm_resumes == 0
-        assert off.stats.budget_retries >= 1
-        assert_program_matches_spec(dispatch_spec, on.program, rng)
-        assert_program_matches_spec(dispatch_spec, off.program, rng)
+    """Cross-budget test reuse (the shared pool) must never change an
+    answer — only how much work finding it costs."""
 
     def test_pool_reuse_reported_in_stats(self):
         """Budgets past the first see the pool: a proved-UNSAT first
@@ -398,7 +368,7 @@ class TestTestReuse:
             }
             """
         )
-        result = compile_spec(spec, TOFINO, CompileOptions(test_reuse=True))
+        result = compile_spec(spec, TOFINO)
         assert result.ok
         assert result.stats.budgets_retired >= 1
         assert result.stats.pool_tests_reused >= 1

@@ -196,7 +196,6 @@ def _compile_opts(eqsat: bool) -> CompileOptions:
         parallel_workers=1,
         directed_seed_tests=False,
         total_max_seconds=60,
-        budget_time_slice=1.0,
         max_extra_entries=2,
         eqsat=eqsat,
     )

@@ -35,18 +35,15 @@ class TestStateRoundTrip:
         assert resumed.replay_for(ARM, STAGED) == []
         assert resumed.replay_for("loop:other", BUDGET) == []
 
-    def test_retired_budgets_and_slice(self, tmp_path):
+    def test_retired_budgets_round_trip(self, tmp_path):
         manager = CheckpointManager(tmp_path, KEY)
         manager.record_retired(ARM, BUDGET)
         manager.record_retired(ARM, STAGED)
         manager.record_retired(ARM, STAGED)       # idempotent
-        manager.record_slice(ARM, 40.0)
         manager.flush(force=True)
         resumed = CheckpointManager(tmp_path, KEY, resume=True)
         assert resumed.retired_budgets(ARM) == {BUDGET, STAGED}
-        assert resumed.resume_slice(ARM) == 40.0
         assert resumed.retired_budgets("other") == set()
-        assert resumed.resume_slice("other") is None
 
     def test_portfolio_manifest(self, tmp_path):
         manager = CheckpointManager(tmp_path, KEY)
@@ -158,9 +155,9 @@ class TestPoolPersistence:
     def test_begin_attempt_keeps_only_the_latest(self, tmp_path):
         manager = CheckpointManager(tmp_path, KEY)
         manager.record_counterexample(ARM, BUDGET, Bits(1, 2))
-        # A retry starts a fresh attempt at a larger pool base: the old
-        # attempt's live counterexamples are superseded (they are in the
-        # pool by now), only the new attempt's are replayed.
+        # Recording the pool base starts the budget's record afresh:
+        # counterexamples recorded without one are not replayed, only
+        # those of the run that starts at this base.
         manager.begin_attempt(ARM, BUDGET, 4)
         manager.record_counterexample(ARM, BUDGET, Bits(3, 2))
         manager.flush(force=True)
@@ -169,12 +166,3 @@ class TestPoolPersistence:
         assert resumed.replay_for(ARM, BUDGET) == [Bits(3, 2)]
         assert resumed.pool_base(ARM, STAGED) is None
         assert resumed.pool_base("loop:other", BUDGET) is None
-
-    def test_pool_base_recorded_without_attempt_reset(self, tmp_path):
-        manager = CheckpointManager(tmp_path, KEY)
-        manager.record_counterexample(ARM, BUDGET, Bits(1, 2))
-        manager.record_pool_base(ARM, BUDGET, 2)
-        manager.flush(force=True)
-        resumed = CheckpointManager(tmp_path, KEY, resume=True)
-        assert resumed.pool_base(ARM, BUDGET) == 2
-        assert resumed.replay_for(ARM, BUDGET) == [Bits(1, 2)]

@@ -340,8 +340,10 @@ class TestResumeWithPool:
     def test_resume_from_older_checkpoint_format(self, tmp_path, full_device):
         """Checkpoints written before the cross-arm test exchange was
         removed carry a ``units`` dispatch log and pool entries whose
-        origin is ``"shared"``.  Such a file still loads, and the resumed
-        compile lands on the cold run's winner."""
+        origin is ``"shared"``; those written before the budget ladder
+        replaced the time-slice schedule carry an arm ``slice_seconds``.
+        Such a file still loads, and the resumed compile lands on the
+        cold run's winner."""
         from repro.ir import parse_spec
         from repro.persist.atomic import write_atomic
         from repro.persist.checkpoint import (
@@ -369,6 +371,7 @@ class TestResumeWithPool:
                 relabelled += 1
         assert relabelled >= 1
         state["units"] = [["key<=8", 0, 0], ["key<=8", 1, 1]]
+        arm["slice_seconds"] = 40.0
         write_atomic(
             crashed.checkpoint_path, CHECKPOINT_KIND, CHECKPOINT_VERSION,
             state,

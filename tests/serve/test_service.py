@@ -382,3 +382,43 @@ class TestRecovery:
         assert all(job.terminal for job in journal)
         # The coalesced pair still shared one compile after recovery.
         assert second.registry.get("serve.compile_launched") == 2
+
+
+class TestRetiredOptionOverrides:
+    """Overrides of options that no longer exist: journaled jobs that
+    carry them still finish, new submissions are refused."""
+
+    RETIRED = {
+        "budget_time_slice": 10.0,
+        "max_time_slice": 900.0,
+        "test_reuse": True,
+    }
+
+    def test_journaled_job_with_retired_overrides_recovers(
+        self, tmp_path, spec_source, device
+    ):
+        first = make_service(tmp_path)
+        job = first.submit(spec_source, device)
+        # Rewrite the accepted job as an older server journaled it.
+        job.options.update(self.RETIRED)
+        first.journal.record(job)
+        del first                                    # no shutdown: SIGKILL
+
+        second = make_service(tmp_path)
+        assert second.start() == 1
+        try:
+            done = second.wait(job.job_id, timeout=WAIT)
+        finally:
+            second.shutdown()
+        assert done.state == JOB_DONE
+        assert JobJournal(tmp_path / "svc" / "journal").recover() == []
+
+    @pytest.mark.parametrize("name", sorted(RETIRED))
+    def test_submit_with_retired_override_refused(
+        self, tmp_path, spec_source, device, name
+    ):
+        svc = make_service(tmp_path)
+        with pytest.raises(ValueError, match="unknown option override"):
+            svc.submit(
+                spec_source, device, options={name: self.RETIRED[name]}
+            )
