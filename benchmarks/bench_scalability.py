@@ -5,21 +5,13 @@ The paper notes "an exponential increase of compilation time when the
 parser spec becomes more complex" and proposes divide-and-conquer as
 future work.  This sweep compiles synthetic layered parsers of growing
 state count and records the trend (it must be monotone-ish and the search
-space strictly growing).
-
-A second sweep scales the *worker* axis: the same Table-3 rows compiled
-through the portfolio's static process pool at 1/2/4/8 workers.  Its
-invariant is correctness, not speed (this harness may run on a single
-core): the winner's status and resource counts must be identical at
-every worker count — the pool is not allowed to change answers.  Wall
-clocks are recorded in the report for machines where the sweep is
-meaningful."""
+space strictly growing)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import CompileOptions, compile_spec, portfolio_compile
+from repro.core import compile_spec
 from repro.harness.table3 import TOFINO
 
 SIZES = [2, 3, 4, 6]
@@ -83,67 +75,3 @@ def test_scalability_report(benchmark, report):
     bits = [b for _s, _t, b, _e in _RESULTS]
     assert bits == sorted(bits) and bits[-1] > bits[0]
 
-
-# -- worker-count sweep (Table-3 rows through the process pool) ----------
-
-WORKER_COUNTS = [1, 2, 4, 8]
-
-# Fast Table-3 rows (every arm terminates quickly) so the sweep measures
-# pool behaviour, not solver tail latency.
-SWEEP_ROWS = ["Parse icmp", "Geneve tunnel", "Multi-key (same pkt field)"]
-
-_SWEEP = []
-
-
-def _sweep_options(workers: int) -> CompileOptions:
-    return CompileOptions(
-        parallel_workers=workers,
-        total_max_seconds=120,
-        seed=5,
-    )
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("label", SWEEP_ROWS)
-def test_worker_sweep(benchmark, label, workers):
-    from repro.benchgen import benchmark_by_label
-
-    spec = benchmark_by_label(label).spec()
-
-    def run():
-        return portfolio_compile(spec, TOFINO, _sweep_options(workers))
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert result.ok, f"{label} @ {workers} workers: {result.message}"
-    _SWEEP.append(
-        (workers, label, result.status, result.num_entries,
-         result.num_stages)
-    )
-
-
-def test_worker_sweep_report(benchmark, report):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    assert len(_SWEEP) == len(WORKER_COUNTS) * len(SWEEP_ROWS)
-    by_workers = {
-        w: sorted((r[1:]) for r in _SWEEP if r[0] == w)
-        for w in WORKER_COUNTS
-    }
-    lines = ["Worker sweep (process pool, Table-3 rows, Tofino profile)",
-             "  workers | per-row (status, entries, stages)"]
-    for workers in WORKER_COUNTS:
-        cells = ", ".join(
-            f"{r[1]}/{r[2]}e/{r[3]}s" for r in by_workers[workers]
-        )
-        lines.append(f"  {workers:7d} | {cells}")
-    text = "\n".join(lines)
-    report("worker_sweep", text)
-    print()
-    print(text)
-    # Winner identity across the whole sweep: every worker count agrees
-    # on status and resource counts, row by row.
-    baseline = by_workers[WORKER_COUNTS[0]]
-    for workers in WORKER_COUNTS[1:]:
-        assert by_workers[workers] == baseline, (
-            f"answers changed at {workers} workers: "
-            f"{by_workers[workers]} != {baseline}"
-        )

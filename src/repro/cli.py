@@ -41,7 +41,6 @@ from .core import (
     STATUS_FAULT,
     STATUS_TIMEOUT,
     compile_spec,
-    portfolio_compile,
 )
 from .core.validate import random_simulation_check
 from .obs import Tracer, format_profile, use_tracer
@@ -158,7 +157,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         )
     options = CompileOptions(
         total_max_seconds=args.timeout,
-        parallel_workers=args.jobs,
         seed=args.seed,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
@@ -169,10 +167,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     )
     tracer = _make_tracer(args)
     with use_tracer(tracer):
-        if args.jobs > 1:
-            result = portfolio_compile(spec, device, options)
-        else:
-            result = compile_spec(spec, device, options)
+        result = compile_spec(spec, device, options)
     _emit_trace(tracer, args)
     if not result.ok:
         _print_failure(result, args)
@@ -648,14 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compile.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget (CompileOptions.total_max_seconds); the "
-        "portfolio returns its best result so far or a timeout naming "
-        "the arms still running",
-    )
-    p_compile.add_argument(
-        "--jobs", "--parallel-workers", dest="jobs", type=int, default=1,
-        metavar="N",
-        help="portfolio worker processes (1 = deterministic sequential)",
+        help="wall-clock budget (CompileOptions.total_max_seconds); on "
+        "expiry the compile ends as a timeout (resumable with "
+        "--checkpoint-dir)",
     )
     p_compile.add_argument("--seed", type=int, default=0)
     p_compile.add_argument(

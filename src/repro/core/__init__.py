@@ -5,12 +5,6 @@ from .compiler import ParserHawkCompiler, compile_spec
 from .encoder import EncodingOverflow, SymbolicProgram
 from .normalize import CompileError, canonicalize, prepare_spec, unroll_self_loops
 from .options import CompileOptions
-from .parallel import (
-    Subproblem,
-    derive_subproblems,
-    portfolio_compile,
-    select_result,
-)
 from .postopt import optimize as post_optimize
 from .result import (
     STATUS_FAULT,
@@ -39,18 +33,14 @@ __all__ = [
     "STATUS_TIMEOUT",
     "Skeleton",
     "SymbolicProgram",
-    "Subproblem",
     "SynthesisTimeout",
     "ValidationReport",
     "build_skeleton",
     "canonicalize",
-    "derive_subproblems",
     "compile_spec",
     "post_optimize",
-    "portfolio_compile",
     "prepare_spec",
     "random_simulation_check",
-    "select_result",
     "synthesize_for_budget",
     "unroll_self_loops",
     "verify_equivalent",

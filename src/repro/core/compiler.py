@@ -13,10 +13,10 @@
    exact verification against the *original* specification, and a device
    constraint check.
 
-Opt7's portfolio (loop-free vs loop-aware arms, §6.7.1) runs the loop-free
-arm first for loop-free specs — the sequential emulation of the paper's
-parallel race — and optionally distributes budget attempts over a process
-pool when ``options.parallel_workers > 1``.
+Opt7's loop arms (§6.7.1) run in sequence: on a loop-capable device an
+acyclic spec tries the loop-free encoding first and falls back to the
+loop-aware one only if that arm finds no program.  This is the one
+compile path; the paper's §6.7.2 key-limit arms are not reproduced.
 """
 
 from __future__ import annotations
@@ -177,8 +177,7 @@ class ParserHawkCompiler:
             except CompileFault as exc:
                 # An anticipated abnormal failure (solver resource
                 # exhaustion, injected fault): degrade to a typed result
-                # instead of unwinding the caller — the portfolio records
-                # it as a per-arm failure and keeps the other arms racing.
+                # instead of unwinding the caller, which may retry it.
                 partial = getattr(exc, "outcome", None)
                 if partial is not None:
                     self._merge_outcome(stats, partial)

@@ -41,9 +41,9 @@ class CompileOptions:
     opt5_key_grouping: bool = True
     # §6.6 fixed-size treatment of varbit fields during synthesis.
     opt6_fixed_varbits: bool = True
-    # §6.7 portfolio parallelism (loop-aware vs loop-free, key-limit levels).
+    # §6.7.1 loop arms: on a loop-capable device, try the loop-free
+    # encoding of an acyclic spec before the loop-aware one.
     opt7_parallelism: bool = True
-    parallel_workers: int = 1          # 1 = deterministic sequential portfolio
     # Directed seed tests for CEGIS (our addition; the paper seeds with a
     # single random input/output pair, which the "Orig" arm reproduces).
     directed_seed_tests: bool = True

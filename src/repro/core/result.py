@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from ..hw.device import DeviceProfile
 from ..hw.impl import TcamProgram
@@ -76,28 +76,10 @@ class CompileResult:
     _certify_payload: Optional[dict] = field(
         default=None, repr=False, compare=False
     )
-    # Memoized check_constraints() output (portfolio winner validation);
-    # keyed implicitly by the device of the *first* call — the portfolio
-    # only ever validates against its one real device profile.
-    _violations: Optional[List[str]] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OK and self.program is not None
-
-    def constraint_violations(self, device: DeviceProfile) -> List[str]:
-        """``program.check_constraints(device)``, computed at most once.
-
-        The portfolio both races on winner validity and reports the
-        violations of skipped winners; memoizing here keeps that a
-        single full constraint check per result."""
-        if self.program is None:
-            return ["no program synthesized"]
-        if self._violations is None:
-            self._violations = self.program.check_constraints(device)
-        return self._violations
 
     @property
     def num_entries(self) -> int:

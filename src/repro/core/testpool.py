@@ -21,8 +21,8 @@ re-discovery round-trips disappear.
 The pool is always on: every budget on the ladder runs against it.
 Pools are strictly per compile and per bit **layout**: counterexample
 inputs live in the *synthesis* spec's bit positions, which Opt2/Opt6
-scaling derive per loop mode.  Portfolio arms never exchange tests; each
-arm's compile owns its pools.
+scaling derive per loop mode.  The two loop arms never exchange tests;
+each arm owns its pool.
 
 Determinism contract (crash-resume): the pool's *content and insertion
 order* at the moment each budget's run starts is what that run's solver

@@ -708,7 +708,7 @@ class EGraph:
 # Driver
 # ---------------------------------------------------------------------------
 
-# One compile calls prepare_spec once per portfolio arm and once per
+# One compile calls prepare_spec once per loop arm and once per
 # unscaled verification retry, always on the same canonicalized spec;
 # saturation is deterministic, so cache by content fingerprint.
 _SATURATE_CACHE: Dict[Tuple[str, EqsatBudget], Tuple[ParserSpec, EqsatStats]] = {}

@@ -1,10 +1,9 @@
 """Flat, mergeable counter registry.
 
-Processes don't share memory, so "process-safe" here means *snapshot and
-merge*: a ``ProcessPoolExecutor`` worker accumulates into its own
-registry, ships :meth:`CounterRegistry.snapshot` back with its result,
-and the parent folds it in with :meth:`CounterRegistry.merge`.  Within a
-process the registry is thread-safe.
+Thread-safe within a process.  Registries combine by *snapshot and
+merge*: the serve layer runs each job under its own tracer and folds
+that tracer's :meth:`CounterRegistry.snapshot` into the service registry
+with :meth:`CounterRegistry.merge`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Structured tracing for the compile pipeline.
 
 A :class:`Tracer` records a tree of :class:`Span` objects — one per unit
-of pipeline work (compile → portfolio arm → budget attempt → CEGIS
+of pipeline work (compile → loop arm → budget attempt → CEGIS
 iteration → SAT solve / verify) — each with wall time, free-form
 attributes, and named counters (conflicts, decisions, propagations,
 counterexamples, budgets retired, ...).
@@ -11,12 +11,6 @@ The ambient tracer is resolved with :func:`get_tracer`; the default is a
 ``CompileStats`` timing derives from spans uniformly) but record nothing
 else, keeping the disabled-path overhead to two clock reads and one small
 allocation per span.
-
-Worker processes cannot share a tracer with their parent.  Instead a
-worker runs under its own ``Tracer``, serializes the finished span tree
-with :meth:`Span.to_dict` plus a :class:`~repro.obs.registry.CounterRegistry`
-snapshot, and the parent grafts them back with :meth:`Tracer.attach` /
-``registry.merge`` (see ``core/parallel.py``).
 """
 
 from __future__ import annotations
@@ -165,17 +159,6 @@ class Tracer:
         self._stack[-1].count(name, delta)
         self.registry.add(name, delta)
 
-    # -- worker merge ------------------------------------------------------
-    def attach(self, span: Union[Span, Dict[str, Any]]) -> Span:
-        """Graft a finished span (or its dict form) under the current span.
-
-        Used to merge span trees exported by ``ProcessPoolExecutor``
-        workers back into the parent's trace."""
-        if isinstance(span, dict):
-            span = Span.from_dict(span)
-        self._stack[-1].children.append(span)
-        return span
-
     # -- export ------------------------------------------------------------
     def finish(self) -> Span:
         """Close the root span (idempotent) and return it."""
@@ -206,9 +189,6 @@ class NullTracer:
         return Span(name)
 
     def count(self, name: str, delta: Number = 1) -> None:
-        pass
-
-    def attach(self, span: Union[Span, Dict[str, Any]]) -> None:
         pass
 
 

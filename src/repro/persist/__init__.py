@@ -6,15 +6,15 @@ Three pieces, layered on one durability substrate:
   files with quarantine-on-corruption (never crash on a torn file);
 * :mod:`repro.persist.checkpoint` — CEGIS/budget-search checkpoints so
   an interrupted, killed or timed-out compile resumes seeded with every
-  previously discovered counterexample and skips exhausted budgets/arms;
+  previously discovered counterexample and skips exhausted budgets;
 * :mod:`repro.persist.cache` — a content-addressed store of finished
   results keyed by canonical ``(spec, device, options)`` fingerprints
   (:mod:`repro.persist.fingerprint`), memoizing compiles across
   processes.
 
 Sits above :mod:`repro.ir`/:mod:`repro.hw`/:mod:`repro.core.result` and
-below the compiler driver; imports nothing from ``core.compiler`` or
-``core.parallel`` (they import us).
+below the compiler driver; imports nothing from ``core.compiler`` (it
+imports us).
 """
 
 from .atomic import canonical_json, load_envelope, quarantine, write_atomic
@@ -28,11 +28,7 @@ from .certify import (
     verify_certificate,
     write_certificate,
 )
-from .checkpoint import (
-    CheckpointManager,
-    arm_checkpoint_dir,
-    flush_active,
-)
+from .checkpoint import CheckpointManager, flush_active
 from .fingerprint import (
     compile_key,
     device_fingerprint,
@@ -51,7 +47,6 @@ __all__ = [
     "CertificateCheck",
     "CheckpointManager",
     "CompileCache",
-    "arm_checkpoint_dir",
     "cache_for_options",
     "canonical_json",
     "certificate_doc",

@@ -86,7 +86,7 @@ class CompileCache:
         if (
             result is None
             or not result.ok
-            or result.constraint_violations(device)
+            or result.program.check_constraints(device)
         ):
             quarantine(path)
             tracer.count("cache.invalidated")

@@ -17,9 +17,7 @@ restart cheaply:
   insertion order, plus each budget's ``pool_base`` — the pool size when
   that budget's run started.  A budget's solver state is a function of
   the pool prefix it seeded, so faithful replay needs the exact prefix
-  reconstructed;
-* the **portfolio manifest**: finished arms and their statuses, so a
-  resumed portfolio skips arms that already exhausted their search.
+  reconstructed.
 
 Durability contract: every write goes through
 :mod:`repro.persist.atomic` (write-temp + fsync + rename, checksummed
@@ -112,7 +110,6 @@ class CheckpointManager:
             "compile_key": compile_key,
             "completed": False,
             "arms": {},
-            "portfolio": {},
         }
         if resume:
             self._load()
@@ -134,7 +131,9 @@ class CheckpointManager:
             return
         self.state = payload
         self.state.setdefault("arms", {})
-        self.state.setdefault("portfolio", {})
+        # Older checkpoints also carry a process-pool arm manifest that
+        # nothing reads any more; drop it so the next flush sheds it.
+        self.state.pop("portfolio", None)
         self.resumed = True
         get_tracer().count("checkpoint.resumed")
 
@@ -249,19 +248,6 @@ class CheckpointManager:
             return set()
         return {(stage, entries) for stage, entries in arm["retired"]}
 
-    # -- portfolio manifest ------------------------------------------------
-    def record_arm_result(
-        self, label: str, status: str, message: str = ""
-    ) -> None:
-        self.state["portfolio"][label] = {
-            "status": status, "message": message,
-        }
-        self._dirty = True
-        self.flush()
-
-    def finished_arms(self) -> Dict[str, Dict[str, str]]:
-        return dict(self.state["portfolio"])
-
     # -- completion --------------------------------------------------------
     def mark_completed(self, program_fingerprint: str = "") -> None:
         self.state["completed"] = True
@@ -305,10 +291,3 @@ class CheckpointManager:
         get_tracer().count("checkpoint.flushes")
         return True
 
-
-def arm_checkpoint_dir(root: Union[str, Path], label: str) -> Path:
-    """A stable per-portfolio-arm checkpoint directory under ``root``."""
-    slug = "".join(
-        ch if ch.isalnum() or ch in "-_" else "_" for ch in label
-    )
-    return Path(root) / "arms" / slug

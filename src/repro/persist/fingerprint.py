@@ -36,7 +36,7 @@ from ..ir.spec import FieldKey, LookaheadKey, ParserSpec
 CANONICAL_VERSION = 1
 
 # CompileOptions fields that cannot change which program a *successful*
-# compile produces: execution-shape knobs and the persistence config.
+# compile produces: the wall-clock budget and the persistence config.
 # ``certify`` only *observes* (DRAT logging + certificate emission), so
 # flipping it must not invalidate existing cache entries.
 # ``eqsat`` is deliberately NOT here: equality-saturation normalization
@@ -44,7 +44,6 @@ CANONICAL_VERSION = 1
 # entries from the two regimes must never mix.
 NON_SEMANTIC_OPTIONS = frozenset(
     {
-        "parallel_workers",
         "total_max_seconds",
         "checkpoint_dir",
         "resume",

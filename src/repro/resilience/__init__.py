@@ -1,14 +1,12 @@
 """Resilience layer: fault taxonomy and deterministic fault injection.
 
-The compile pipeline — especially the §6.7 portfolio, which races many
-arms across a process pool — must degrade instead of dying: a crashing
-worker becomes a per-arm failure, a broken pool is recovered by
-re-running pending arms in-process, and a wall-clock deadline yields the
-best partial result rather than a hang.  This package holds the
-pieces those behaviours share:
+The compile pipeline and the serve layer must degrade instead of dying:
+a compile that hits an anticipated fault returns a ``STATUS_FAULT``
+result, and the serve layer retries it with backoff.  This package
+holds the pieces those behaviours share:
 
 * :mod:`repro.resilience.faults` — the :class:`CompileFault` exception
-  taxonomy supervision code catches and converts into results;
+  taxonomy the compiler catches and converts into results;
 * :mod:`repro.resilience.injection` — a deterministic fault-injection
   registry (``inject(site, fault)``) so every recovery path is testable
   without real crashes (see ``tests/resilience/``);
@@ -22,7 +20,6 @@ Deliberately dependency-free (stdlib only): both ``repro.smt`` and
 """
 
 from .faults import (
-    ArmTimeout,
     CompileFault,
     PoolBroken,
     SolverResourceExhausted,
@@ -35,18 +32,10 @@ from .injection import (
     clear,
     fault_point,
     inject,
-    install,
-    snapshot,
 )
-from .retry import (
-    TRANSIENT_FAULTS,
-    RetryPolicy,
-    RetryState,
-    transient_fault,
-)
+from .retry import RetryPolicy, RetryState, transient_fault
 
 __all__ = [
-    "ArmTimeout",
     "CompileFault",
     "InjectedFault",
     "PoolBroken",
@@ -54,13 +43,10 @@ __all__ = [
     "RetryState",
     "SITES",
     "SolverResourceExhausted",
-    "TRANSIENT_FAULTS",
     "WorkerCrash",
     "active",
     "clear",
     "fault_point",
     "inject",
-    "install",
-    "snapshot",
     "transient_fault",
 ]

@@ -2,11 +2,10 @@
 
 Every *expected* way the compile pipeline can fail abnormally — as
 opposed to the planned outcomes "infeasible" and "timeout" — has a
-dedicated exception class here.  The supervision code in
-``core/parallel.py`` and the top-level ``ParserHawkCompiler.compile``
-catch :class:`CompileFault` (never bare ``Exception`` when a precise
-class exists) and convert it into a per-arm / per-compile failure
-*result* instead of letting it unwind the whole portfolio.
+dedicated exception class here.  ``ParserHawkCompiler.compile`` catches
+:class:`CompileFault` and converts it into a ``STATUS_FAULT`` result;
+the serve layer retries such jobs (every fault is transient, see
+:func:`repro.resilience.retry.transient_fault`).
 
 The taxonomy is deliberately flat and small; classes carry an optional
 ``site`` naming the pipeline location that raised (one of the
@@ -40,16 +39,12 @@ class CompileFault(Exception):
 
 
 class WorkerCrash(CompileFault):
-    """A portfolio worker process raised or died mid-arm."""
+    """A worker raised or died mid-compile."""
 
 
 class PoolBroken(CompileFault):
-    """The process pool itself is unusable (workers killed, fork failed,
-    result unpicklable); pending arms must be re-run in-process."""
-
-
-class ArmTimeout(CompileFault):
-    """One portfolio arm exceeded its share of the wall-clock deadline."""
+    """A shared resource the worker depends on (the job journal, a
+    worker pool) is unusable."""
 
 
 class SolverResourceExhausted(CompileFault):

@@ -5,27 +5,25 @@ real crash, hang, or out-of-memory condition.  This module provides a
 process-global registry of *injected faults* keyed by **site** — a
 stable string naming an instrumented pipeline location:
 
-================  ====================================================
-site              fired from
-================  ====================================================
-``sat.solve``     :meth:`repro.smt.solver.Solver.check`
-``bitblast``      :meth:`repro.smt.bitblast.BitBlaster.assert_term`
-``encoder``       ``repro.core.encoder.SymbolicProgram`` construction
-``portfolio.worker``  ``repro.core.parallel._run_subproblem`` (per arm)
-``portfolio.pool``    process-pool creation in ``portfolio_compile``
-``persist.write``     :func:`repro.persist.atomic.write_atomic`
-``persist.read``      :func:`repro.persist.atomic.load_envelope`
-``cache.store``       :meth:`repro.persist.cache.CompileCache.store`
-``serve.enqueue``     ``repro.serve.service.CompileService.submit``
-``serve.worker``      the serve worker loop, before each compile attempt
-``serve.journal``     :meth:`repro.serve.journal.JobJournal` writes
-================  ====================================================
+=================  ====================================================
+site               fired from
+=================  ====================================================
+``sat.solve``      :meth:`repro.smt.solver.Solver.check`
+``bitblast``       :meth:`repro.smt.bitblast.BitBlaster.assert_term`
+``encoder``        ``repro.core.encoder.SymbolicProgram`` construction
+``persist.write``  :func:`repro.persist.atomic.write_atomic`
+``persist.read``   :func:`repro.persist.atomic.load_envelope`
+``cache.store``    :meth:`repro.persist.cache.CompileCache.store`
+``serve.enqueue``  ``repro.serve.service.CompileService.submit``
+``serve.worker``   the serve worker loop, before each compile attempt
+``serve.journal``  :meth:`repro.serve.journal.JobJournal` writes
+=================  ====================================================
 
 Production code calls :func:`fault_point` at each site; with an empty
 registry that is one module-global read, so the instrumentation is free
 in normal operation.  Tests arm the registry::
 
-    inject("portfolio.worker", WorkerCrash("boom"), match="key<=8")
+    inject("serve.worker", WorkerCrash("boom"), match=compile_key)
     try:
         ...  # exercise the pipeline
     finally:
@@ -35,21 +33,14 @@ A fault may be an exception *instance* (raised as-is), an exception
 *class* (instantiated then raised), or a zero-argument *callable*
 (invoked; it may sleep to simulate a hang, call ``os._exit`` to
 simulate a worker crash, or raise).  ``times`` bounds how often it
-fires, ``match`` restricts it to sites whose label contains a substring
-(e.g. one portfolio arm), and ``scope="subprocess"`` restricts it to
-processes other than the one that registered it — which is how a test
-kills a pool worker without also killing the in-process recovery rerun.
-
-Worker processes receive the registry explicitly: ``portfolio_compile``
-ships :func:`snapshot` alongside each subproblem and the worker calls
-:func:`install`, so injection works under both ``fork`` and ``spawn``
-start methods.
+fires and ``match`` restricts it to sites whose label contains a
+substring.  The registry is per process: a subprocess arms its own
+faults (``repro serve --inject``).
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from .faults import CompileFault
@@ -58,8 +49,6 @@ SITES = (
     "sat.solve",
     "bitblast",
     "encoder",
-    "portfolio.worker",
-    "portfolio.pool",
     "persist.write",
     "persist.read",
     "cache.store",
@@ -77,8 +66,6 @@ class InjectedFault:
     fault: Any                      # exception instance/class or callable
     times: Optional[int] = 1        # None = fire on every visit
     match: Optional[str] = None     # substring of the site label
-    scope: str = "any"              # "any" | "subprocess"
-    origin_pid: int = field(default_factory=os.getpid)
     fired: int = 0
 
     def applies(self, site: str, label: Optional[str]) -> bool:
@@ -87,8 +74,6 @@ class InjectedFault:
         if self.times is not None and self.fired >= self.times:
             return False
         if self.match is not None and self.match not in (label or ""):
-            return False
-        if self.scope == "subprocess" and os.getpid() == self.origin_pid:
             return False
         return True
 
@@ -114,18 +99,13 @@ def inject(
     *,
     times: Optional[int] = 1,
     match: Optional[str] = None,
-    scope: str = "any",
 ) -> InjectedFault:
     """Arm ``fault`` at ``site``; returns the (mutable) registration."""
     if site not in SITES:
         raise ValueError(
             f"unknown injection site {site!r}; known sites: {SITES}"
         )
-    if scope not in ("any", "subprocess"):
-        raise ValueError(f"unknown scope {scope!r}")
-    entry = InjectedFault(
-        site=site, fault=fault, times=times, match=match, scope=scope
-    )
+    entry = InjectedFault(site=site, fault=fault, times=times, match=match)
     _FAULTS.append(entry)
     return entry
 
@@ -137,18 +117,6 @@ def clear() -> None:
 
 def active() -> bool:
     return bool(_FAULTS)
-
-
-def snapshot() -> List[InjectedFault]:
-    """The current registrations, for shipping to worker processes."""
-    return list(_FAULTS)
-
-
-def install(faults: Optional[List[InjectedFault]]) -> None:
-    """Replace the registry (worker-process side of :func:`snapshot`)."""
-    _FAULTS.clear()
-    if faults:
-        _FAULTS.extend(faults)
 
 
 def configure_from_string(text: str) -> List[InjectedFault]:

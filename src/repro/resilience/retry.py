@@ -34,33 +34,16 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .faults import (
-    CompileFault,
-    PoolBroken,
-    SolverResourceExhausted,
-    WorkerCrash,
-)
-
-# Faults describing the environment (retry can help), not the problem.
-TRANSIENT_FAULTS = (WorkerCrash, PoolBroken, SolverResourceExhausted)
+from .faults import CompileFault
 
 
 def transient_fault(exc: BaseException) -> bool:
     """Whether retrying the failed operation could possibly succeed.
 
-    A generic :class:`CompileFault` (e.g. an injected fault with no more
-    specific class) is treated as transient — the taxonomy reserves
+    Every :class:`CompileFault` is transient — the taxonomy reserves
     *non*-retryable outcomes for planned results (infeasible, timeout),
-    which are never raised as faults.  ``ArmTimeout`` is deliberately
-    NOT transient: it means a deadline was spent, and retrying without
-    new budget only spends more.
+    which are never raised as faults.
     """
-    from .faults import ArmTimeout
-
-    if isinstance(exc, TRANSIENT_FAULTS):
-        return True
-    if isinstance(exc, ArmTimeout):
-        return False
     return isinstance(exc, CompileFault)
 
 
@@ -164,6 +147,5 @@ class RetryState:
 __all__ = [
     "RetryPolicy",
     "RetryState",
-    "TRANSIENT_FAULTS",
     "transient_fault",
 ]

@@ -8,10 +8,10 @@ directory::
     <root>/cache/                 the shared compile cache
     <root>/ckpt/<key16>/          per-compile-key CEGIS checkpoints
 
-and a pool of worker *threads* (the compiler already fans out its own
-portfolio subprocesses; service workers spend their time waiting on
-them, so threads are the right grain and the journal/cache/checkpoint
-state stays in one process).
+and a pool of worker *threads*.  Each compile runs in-process on its
+worker thread, so the journal/cache/checkpoint state stays in one
+process; spreading compiles over cores is the job of ``repro fleet``,
+which runs several such processes on one spool directory.
 
 Robustness properties, and where they live:
 
@@ -21,7 +21,7 @@ Robustness properties, and where they live:
 * **coalescing** — identical ``compile_key``\\ s share one in-flight
   compile; waiters are journaled with ``coalesced_into`` and copy the
   primary's terminal state (counted as ``serve.coalesced``);
-* **classified retry** — transient faults (worker crash, broken pool,
+* **classified retry** — raised faults (worker crash, broken journal,
   solver resource exhaustion — :func:`repro.resilience.retry.transient_fault`,
   plus ``STATUS_FAULT`` results) re-run under the service
   :class:`~repro.resilience.retry.RetryPolicy` with deterministic

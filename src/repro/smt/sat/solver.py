@@ -58,7 +58,7 @@ class Budget:
 
     Conflicts alone are not enough: a propagation-heavy solve with few
     conflicts never reaches the conflict-path check and can blow far
-    past a portfolio arm's deadline.  The search loop therefore also
+    past the compile's deadline.  The search loop therefore also
     polls the clock at every restart boundary and — via
     :meth:`note_propagations` — after every
     :data:`PROPS_PER_CLOCK_CHECK` propagated literals.

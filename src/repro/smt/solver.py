@@ -141,7 +141,7 @@ class Solver:
         except (MemoryError, RecursionError) as exc:
             # Hard resource exhaustion (as opposed to a *planned* budget,
             # which reports "unknown"): surface as a typed CompileFault so
-            # supervision layers can turn it into a per-arm failure.
+            # the compiler can turn it into a STATUS_FAULT result.
             raise SolverResourceExhausted(
                 f"SAT solver exhausted interpreter resources: "
                 f"{type(exc).__name__}", site="sat.solve",

@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.hw import custom_profile, ipu_profile, tofino_profile
 from repro.ir import parse_spec
+from repro.obs import Tracer, use_tracer
 from tests.conftest import assert_program_matches_spec
 
 TOFINO = tofino_profile(
@@ -145,6 +146,45 @@ class TestLoops:
         assert result.num_stages >= 4  # eth + 3 unrolled copies
         assert result.program.check_constraints(IPU) == []
         assert_program_matches_spec(spec, result.program, rng, max_len=24)
+
+
+class TestLoopArms:
+    """§6.7.1: the loop modes a compile tries, in order, one ``arm`` span
+    each.  The paper races the arms; here they run in sequence and a
+    later arm runs only if every earlier one found no program."""
+
+    @staticmethod
+    def _arm_modes(spec, device):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = compile_spec(spec, device)
+        assert result.ok
+        modes = []
+        stack = [tracer.finish()]
+        while stack:
+            span = stack.pop()
+            if span.name == "arm":
+                modes.append(span.attrs["mode"])
+            stack.extend(reversed(span.children))
+        return modes
+
+    def test_acyclic_spec_on_tofino_wins_in_loop_free_arm(
+        self, dispatch_spec
+    ):
+        arms = ParserHawkCompiler()._portfolio_arms(
+            dispatch_spec, TOFINO, CompileOptions()
+        )
+        assert arms == [False, True]          # loop-free first
+        assert self._arm_modes(dispatch_spec, TOFINO) == ["loop-free"]
+
+    def test_self_looping_spec_runs_only_loop_aware(self):
+        spec = parse_spec(TestLoops.MPLS)
+        assert self._arm_modes(spec, TOFINO) == ["loop-aware"]
+
+    @pytest.mark.parametrize("looping", [False, True])
+    def test_ipu_runs_only_loop_free(self, dispatch_spec, looping):
+        spec = parse_spec(TestLoops.MPLS) if looping else dispatch_spec
+        assert self._arm_modes(spec, IPU) == ["loop-free"]
 
 
 class TestResourceMinimality:

@@ -193,7 +193,6 @@ def test_family_confluence_over_table3_variants():
 
 def _compile_opts(eqsat: bool) -> CompileOptions:
     return CompileOptions(
-        parallel_workers=1,
         directed_seed_tests=False,
         total_max_seconds=60,
         max_extra_entries=2,

@@ -87,20 +87,6 @@ class TestTracer:
         assert outer.end is not None
         assert outer.children[0].end is not None
 
-    def test_attach_grafts_worker_span(self):
-        worker = Tracer()
-        with worker.span("portfolio.arm", label="key<=4"):
-            worker.count("sat.solves", 3)
-        exported = worker.finish().children[0].to_dict()
-
-        parent = Tracer()
-        parent.attach(exported)
-        parent.registry.merge(worker.registry.snapshot())
-        arm = parent.finish().children[0]
-        assert arm.name == "portfolio.arm"
-        assert arm.attrs["label"] == "key<=4"
-        assert parent.registry.get("sat.solves") == 3
-
     def test_json_export_is_valid(self):
         tracer = Tracer()
         with tracer.span("a"):
@@ -137,7 +123,6 @@ class TestAmbientTracer:
         with null.span("anything") as span:
             null.count("ignored", 10)
         assert span.elapsed() >= 0.0  # spans still time themselves
-        null.attach({"name": "x"})    # and attach is a no-op
 
 
 class TestCounterRegistry:

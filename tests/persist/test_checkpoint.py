@@ -6,7 +6,7 @@ import json
 
 from repro.ir import Bits
 from repro.obs import Tracer, use_tracer
-from repro.persist import CheckpointManager, arm_checkpoint_dir, flush_active
+from repro.persist import CheckpointManager, flush_active
 from repro.persist.checkpoint import CHECKPOINT_FILENAME
 from repro.resilience import injection
 from repro.resilience.faults import CompileFault
@@ -44,17 +44,6 @@ class TestStateRoundTrip:
         resumed = CheckpointManager(tmp_path, KEY, resume=True)
         assert resumed.retired_budgets(ARM) == {BUDGET, STAGED}
         assert resumed.retired_budgets("other") == set()
-
-    def test_portfolio_manifest(self, tmp_path):
-        manager = CheckpointManager(tmp_path, KEY)
-        manager.record_arm_result("key<=8,loop-free", "infeasible", "nope")
-        manager.record_arm_result("key<=8,loop-aware", "ok")
-        resumed = CheckpointManager(tmp_path, KEY, resume=True)
-        arms = resumed.finished_arms()
-        assert arms["key<=8,loop-free"] == {
-            "status": "infeasible", "message": "nope",
-        }
-        assert arms["key<=8,loop-aware"]["status"] == "ok"
 
     def test_mark_completed(self, tmp_path):
         manager = CheckpointManager(tmp_path, KEY)
@@ -124,15 +113,6 @@ class TestDegradation:
         assert flush_active() >= 1
         resumed = CheckpointManager(tmp_path, KEY, resume=True)
         assert resumed.retired_budgets(ARM) == {BUDGET}
-
-
-def test_arm_checkpoint_dir_slug(tmp_path):
-    path = arm_checkpoint_dir(tmp_path, "key<=8,loop-free")
-    assert path.parent == tmp_path / "arms"
-    assert path.name == "key__8_loop-free"
-    # Distinct labels keep distinct directories.
-    other = arm_checkpoint_dir(tmp_path, "key<=8,loop-aware")
-    assert other != path
 
 
 class TestPoolPersistence:

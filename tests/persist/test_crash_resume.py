@@ -341,9 +341,11 @@ class TestResumeWithPool:
         """Checkpoints written before the cross-arm test exchange was
         removed carry a ``units`` dispatch log and pool entries whose
         origin is ``"shared"``; those written before the budget ladder
-        replaced the time-slice schedule carry an arm ``slice_seconds``.
-        Such a file still loads, and the resumed compile lands on the
-        cold run's winner."""
+        replaced the time-slice schedule carry an arm ``slice_seconds``;
+        those written before the process-pool portfolio was removed carry
+        a ``"portfolio"`` arm manifest.  Such a file still loads, the
+        resumed compile lands on the cold run's winner, and the rewritten
+        checkpoint sheds the manifest."""
         from repro.ir import parse_spec
         from repro.persist.atomic import write_atomic
         from repro.persist.checkpoint import (
@@ -372,6 +374,10 @@ class TestResumeWithPool:
         assert relabelled >= 1
         state["units"] = [["key<=8", 0, 0], ["key<=8", 1, 1]]
         arm["slice_seconds"] = 40.0
+        state["portfolio"] = {
+            "key<=8,loop-free": {"status": "infeasible", "message": "x"},
+            "key<=4,loop-free": {"status": "fault", "message": "y"},
+        }
         write_atomic(
             crashed.checkpoint_path, CHECKPOINT_KIND, CHECKPOINT_VERSION,
             state,
@@ -388,3 +394,5 @@ class TestResumeWithPool:
             program_fingerprint(cold.program)
         )
         assert resumed.stats.pool_tests_reused >= 1
+        rewritten = json.loads(open(crashed.checkpoint_path).read())
+        assert "portfolio" not in rewritten["payload"]

@@ -96,7 +96,6 @@ class TestOptionsFingerprint:
     def test_non_semantic_knobs_excluded(self):
         base = CompileOptions()
         varied = base.with_(
-            parallel_workers=8,
             total_max_seconds=123.0,
             checkpoint_dir="/tmp/x",
             resume=True,

@@ -78,7 +78,7 @@ class TestResultRoundTrip:
         assert program_fingerprint(rebuilt.program) == program_fingerprint(
             result.program
         )
-        assert rebuilt.constraint_violations(device) == []
+        assert rebuilt.program.check_constraints(device) == []
 
     def test_malformed_doc_is_none(self, device):
         assert result_from_doc({"program": {"bogus": 1}}, device) is None

@@ -17,12 +17,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown injection site"):
             injection.inject("nonsense.site", WorkerCrash("x"))
 
-    def test_unknown_scope_rejected(self):
-        with pytest.raises(ValueError, match="unknown scope"):
-            injection.inject(
-                "sat.solve", WorkerCrash("x"), scope="thread"
-            )
-
     def test_fault_point_noop_when_empty(self):
         fault_point("sat.solve")  # must not raise
 
@@ -59,28 +53,11 @@ class TestRegistry:
                 fault_point("sat.solve")
 
     def test_match_restricts_to_label(self):
-        injection.inject(
-            "portfolio.worker", WorkerCrash("boom"), match="loop-free"
-        )
-        fault_point("portfolio.worker", label="key<=8,loop-aware")
-        fault_point("portfolio.worker", label=None)
+        injection.inject("serve.worker", WorkerCrash("boom"), match="ab12")
+        fault_point("serve.worker", label="cd34ef")
+        fault_point("serve.worker", label=None)
         with pytest.raises(WorkerCrash):
-            fault_point("portfolio.worker", label="key<=8,loop-free")
-
-    def test_subprocess_scope_silent_in_origin_process(self):
-        injection.inject(
-            "portfolio.worker", WorkerCrash("boom"), scope="subprocess"
-        )
-        fault_point("portfolio.worker", label="anything")  # same pid
-
-    def test_snapshot_install_roundtrip(self):
-        injection.inject("sat.solve", WorkerCrash("boom"))
-        shipped = injection.snapshot()
-        injection.clear()
-        fault_point("sat.solve")  # disarmed
-        injection.install(shipped)
-        with pytest.raises(WorkerCrash):
-            fault_point("sat.solve")
+            fault_point("serve.worker", label="00ab1234")
 
     def test_clear_disarms(self):
         injection.inject("sat.solve", WorkerCrash("boom"))
@@ -91,15 +68,9 @@ class TestRegistry:
 
 class TestTaxonomy:
     def test_all_faults_are_compile_faults(self):
-        from repro.resilience import (
-            ArmTimeout,
-            PoolBroken,
-            SolverResourceExhausted,
-        )
+        from repro.resilience import PoolBroken, SolverResourceExhausted
 
-        for cls in (
-            WorkerCrash, PoolBroken, ArmTimeout, SolverResourceExhausted
-        ):
+        for cls in (WorkerCrash, PoolBroken, SolverResourceExhausted):
             exc = cls("x")
             assert isinstance(exc, CompileFault)
             assert cls.__name__ in exc.describe()

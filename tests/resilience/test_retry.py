@@ -5,13 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.resilience import (
-    ArmTimeout,
     CompileFault,
     PoolBroken,
     RetryPolicy,
     RetryState,
     SolverResourceExhausted,
-    TRANSIENT_FAULTS,
     WorkerCrash,
     transient_fault,
 )
@@ -83,25 +81,32 @@ class TestState:
 
 
 class TestClassification:
-    @pytest.mark.parametrize("cls", TRANSIENT_FAULTS)
+    @pytest.mark.parametrize(
+        "cls", [WorkerCrash, PoolBroken, SolverResourceExhausted]
+    )
     def test_environment_faults_are_transient(self, cls):
         assert transient_fault(cls("boom"))
 
     def test_generic_compile_fault_is_transient(self):
         assert transient_fault(CompileFault("injected"))
 
-    def test_arm_timeout_is_not_transient(self):
-        # A spent deadline doesn't come back on retry.
-        assert not transient_fault(ArmTimeout("out of time"))
-
     def test_non_faults_are_not_transient(self):
         assert not transient_fault(ValueError("bad input"))
         assert not transient_fault(KeyboardInterrupt())
 
     def test_taxonomy_members(self):
-        assert WorkerCrash in TRANSIENT_FAULTS
-        assert PoolBroken in TRANSIENT_FAULTS
-        assert SolverResourceExhausted in TRANSIENT_FAULTS
+        # Non-retryable outcomes are results (infeasible, timeout), never
+        # raised faults: every class in the taxonomy is transient.
+        from repro.resilience import faults
+
+        members = [
+            obj for obj in vars(faults).values()
+            if isinstance(obj, type) and issubclass(obj, CompileFault)
+        ]
+        assert set(members) == {
+            CompileFault, WorkerCrash, PoolBroken, SolverResourceExhausted
+        }
+        assert all(transient_fault(cls("x")) for cls in members)
 
 
 class TestCrossProcessDeterminism:

@@ -232,9 +232,9 @@ class TestAdmission:
         self, tmp_path, spec_source, device
     ):
         svc = make_service(tmp_path)
-        with pytest.raises(ValueError, match="parallel_workers"):
+        with pytest.raises(ValueError, match="no_such_option"):
             svc.submit(
-                spec_source, device, options={"parallel_workers": 8}
+                spec_source, device, options={"no_such_option": 8}
             )
 
     def test_journal_failure_rejects_and_releases_slot(
